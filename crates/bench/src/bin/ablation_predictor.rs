@@ -2,10 +2,10 @@
 //! sequential-wakeup IPC — extending Figure 7 (accuracy vs size) to the
 //! bottom line, and quantifying the paper's claim that performance is
 //! "relatively insensitive to the predictor accuracy".
-use hpa_bench::HarnessArgs;
+use hpa_bench::{run_config, HarnessArgs};
 use hpa_core::report::Table;
-use hpa_core::sim::{Simulator, WakeupScheme};
-use hpa_core::workloads::{workload, CHECKSUM_REG};
+use hpa_core::sim::WakeupScheme;
+use hpa_core::workloads::workload;
 
 const SIZES: [usize; 5] = [64, 256, 1024, 4096, 16384];
 
@@ -24,12 +24,7 @@ fn main() {
         };
         for name in &args.benches {
             let w = workload(name, args.scale).expect("known name");
-            let run = |wakeup: WakeupScheme| {
-                let mut sim = Simulator::new(&w.program, width.base_config().with_wakeup(wakeup));
-                sim.run();
-                assert_eq!(sim.emulator().reg(CHECKSUM_REG), w.expected_checksum, "{name}");
-                sim.stats().ipc()
-            };
+            let run = |wakeup| run_config(&w, width, width.base_config().with_wakeup(wakeup)).ipc();
             let base = run(WakeupScheme::Conventional);
             let mut row = vec![(*name).to_string(), format!("{base:.3}")];
             let stat = run(WakeupScheme::SequentialWakeup { predictor_entries: None });

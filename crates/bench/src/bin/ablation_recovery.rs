@@ -1,10 +1,10 @@
 //! Ablation: selective (Figure 5 dependence-matrix) vs non-selective
 //! recovery on the base machine, quantifying how much replay scope costs —
 //! the design-space point the paper's Section 3.1 discussion turns on.
-use hpa_bench::HarnessArgs;
+use hpa_bench::{run_config, HarnessArgs};
 use hpa_core::report::Table;
-use hpa_core::sim::{RecoveryKind, Simulator};
-use hpa_core::workloads::{workload, CHECKSUM_REG};
+use hpa_core::sim::RecoveryKind;
+use hpa_core::workloads::workload;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -18,12 +18,9 @@ fn main() {
             let mut row = vec![(*name).to_string()];
             let mut replays = Vec::new();
             for kind in [RecoveryKind::NonSelective, RecoveryKind::Selective] {
-                let cfg = width.base_config().with_recovery(kind);
-                let mut sim = Simulator::new(&w.program, cfg);
-                sim.run();
-                assert_eq!(sim.emulator().reg(CHECKSUM_REG), w.expected_checksum);
-                row.push(format!("{:.3}", sim.stats().ipc()));
-                replays.push(sim.stats().replayed_insts.to_string());
+                let stats = run_config(&w, width, width.base_config().with_recovery(kind));
+                row.push(format!("{:.3}", stats.ipc()));
+                replays.push(stats.replayed_insts.to_string());
             }
             row.extend(replays);
             t.push_row(row);

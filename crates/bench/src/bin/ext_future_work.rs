@@ -2,10 +2,10 @@
 //! renaming** and half-price **bypass logic**, the two directions the
 //! paper names for its "operand-centric" end goal, evaluated with the
 //! same methodology as Figures 14–16.
-use hpa_bench::HarnessArgs;
+use hpa_bench::{run_config, HarnessArgs};
 use hpa_core::report::Table;
-use hpa_core::sim::{BypassScheme, RenameScheme, Simulator};
-use hpa_core::workloads::{workload, CHECKSUM_REG};
+use hpa_core::sim::{BypassScheme, RenameScheme};
+use hpa_core::workloads::workload;
 
 fn main() {
     let args = HarnessArgs::parse();
@@ -24,12 +24,7 @@ fn main() {
         );
         for name in &args.benches {
             let w = workload(name, args.scale).expect("known name");
-            let run = |cfg: hpa_core::sim::SimConfig| {
-                let mut sim = Simulator::new(&w.program, cfg);
-                sim.run();
-                assert_eq!(sim.emulator().reg(CHECKSUM_REG), w.expected_checksum, "{name}");
-                sim.stats().clone()
-            };
+            let run = |cfg| run_config(&w, width, cfg);
             let base = run(width.base_config());
             let rename = run(width.base_config().with_rename(RenameScheme::HalfPorts));
             let bypass = run(width.base_config().with_bypass(BypassScheme::HalfPaths));

@@ -41,8 +41,7 @@ use hpa_core::emu::Emulator;
 use hpa_core::sim::{PhaseTimes, SampleUnits, SampledEstimate};
 use hpa_core::workloads::{workload, Scale, Workload};
 use hpa_core::{
-    default_jobs, run_matrix, run_matrix_parallel, run_prepared, run_prepared_observed,
-    run_prepared_phase_timed, run_workload, run_workload_sampled, MachineWidth, Scheme,
+    default_jobs, run, run_matrix, MachineWidth, Observe, RunMode, RunResult, RunSpec, Scheme,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -159,8 +158,16 @@ impl ScaleRun {
     }
 }
 
+/// One full-detail, checksum-verified run on the 4-wide machine.
+fn run_observed(w: &Workload, scheme: Scheme, observe: Observe) -> RunResult {
+    let spec = RunSpec {
+        mode: RunMode::Full(observe),
+        ..RunSpec::workload(w, scheme, MachineWidth::Four)
+    };
+    run(&spec).unwrap_or_else(|e| panic!("{e}"))
+}
+
 fn scheme_throughput(ws: &[Workload], scale: Scale) -> Vec<SchemeRate> {
-    let width = MachineWidth::Four;
     Scheme::ALL
         .into_iter()
         .map(|scheme| {
@@ -168,8 +175,7 @@ fn scheme_throughput(ws: &[Workload], scale: Scale) -> Vec<SchemeRate> {
             let mut cycles = 0u64;
             let mut insts = 0u64;
             for w in ws {
-                let r = run_prepared(w, scheme.configure(width), scheme, width)
-                    .unwrap_or_else(|e| panic!("{e}"));
+                let r = run_observed(w, scheme, Observe::default());
                 cycles += r.stats.cycles;
                 insts += r.stats.committed;
             }
@@ -248,13 +254,14 @@ fn sampled_vs_full() -> Vec<SampledCompare> {
     SAMPLED_WORKLOADS
         .iter()
         .map(|&name| {
+            let w = workload(name, Scale::Long).expect("known workload");
+            let spec = RunSpec::workload(&w, Scheme::Base, width);
             let t0 = Instant::now();
-            let full = run_workload(name, Scale::Long, width, Scheme::Base)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let full = run(&spec).unwrap_or_else(|e| panic!("{e}"));
             let full_wall_s = t0.elapsed().as_secs_f64();
             let t0 = Instant::now();
             let sampled =
-                run_workload_sampled(name, Scale::Long, width, Scheme::Base, units, SAMPLED_SEED)
+                run(&RunSpec { mode: RunMode::Sampled { units, seed: SAMPLED_SEED }, ..spec })
                     .unwrap_or_else(|e| panic!("{e}"));
             let sampled_wall_s = t0.elapsed().as_secs_f64();
             let c = SampledCompare {
@@ -300,14 +307,12 @@ impl ObsOverhead {
 }
 
 fn counters_overhead(ws: &[Workload]) -> ObsOverhead {
-    let width = MachineWidth::Four;
     let scheme = Scheme::Combined;
     let run = |observe: bool| -> (f64, u64) {
         let t0 = Instant::now();
         let mut digest = 0u64;
         for w in ws {
-            let r = run_prepared_observed(w, scheme.configure(width), scheme, width, observe)
-                .unwrap_or_else(|e| panic!("{e}"));
+            let r = run_observed(w, scheme, Observe { counters: observe, ..Observe::default() });
             digest = digest.wrapping_mul(0x100_0000_01b3).wrapping_add(r.stats.cycles);
         }
         (t0.elapsed().as_secs_f64(), digest)
@@ -335,14 +340,12 @@ struct PhaseProfile {
 }
 
 fn phase_profile(ws: &[Workload], observe: bool) -> PhaseProfile {
-    let width = MachineWidth::Four;
     let scheme = Scheme::Combined;
     let t0 = Instant::now();
     let mut times = PhaseTimes::default();
     for w in ws {
-        let (_, t) = run_prepared_phase_timed(w, scheme.configure(width), scheme, width, observe)
-            .unwrap_or_else(|e| panic!("{e}"));
-        times.accumulate(&t);
+        let observe = Observe { counters: observe, phase_timing: true, ..Observe::default() };
+        times.accumulate(&run_observed(w, scheme, observe).phase_times.expect("phase-timed"));
     }
     let p = PhaseProfile { times, wall_s: t0.elapsed().as_secs_f64() };
     let state = if observe { "on " } else { "off" };
@@ -400,20 +403,16 @@ fn main() {
         args.jobs
     );
     let t0 = Instant::now();
-    let serial = run_matrix(&names, matrix_scale, MachineWidth::Four, &MATRIX_SCHEMES, |_| {})
-        .unwrap_or_else(|e| panic!("{e}"));
+    let matrix = |jobs| {
+        let width = MachineWidth::Four;
+        run_matrix(&names, matrix_scale, width, &MATRIX_SCHEMES, jobs, Observe::default(), |_| {})
+            .unwrap_or_else(|e| panic!("{e}"))
+    };
+    let serial = matrix(1);
     let serial_s = t0.elapsed().as_secs_f64();
     eprintln!("  serial:   {serial_s:.2}s");
     let t0 = Instant::now();
-    let parallel = run_matrix_parallel(
-        &names,
-        matrix_scale,
-        MachineWidth::Four,
-        &MATRIX_SCHEMES,
-        args.jobs,
-        |_| {},
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
+    let parallel = matrix(args.jobs);
     let parallel_s = t0.elapsed().as_secs_f64();
     let speedup = if parallel_s > 0.0 { serial_s / parallel_s } else { 0.0 };
     eprintln!(

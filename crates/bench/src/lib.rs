@@ -14,9 +14,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use hpa_core::sim::SimStats;
-use hpa_core::workloads::{Scale, WORKLOAD_NAMES};
-use hpa_core::{run_workload, MachineWidth, RunResult, Scheme};
+use hpa_core::sim::{SimConfig, SimStats};
+use hpa_core::workloads::{workload, Scale, Workload, WORKLOAD_NAMES};
+use hpa_core::{run, MachineWidth, RunSpec, Scheme};
 
 pub mod microbench;
 
@@ -113,18 +113,21 @@ pub fn base_runs(args: &HarnessArgs, width: MachineWidth) -> Vec<(&'static str, 
         .iter()
         .map(|name| {
             eprint!("  {name} ({})...", width.label());
-            let r = run_once(name, args.scale, width, Scheme::Base);
-            eprintln!(" ipc {:.3}", r.stats.ipc());
-            (*name, r.stats)
+            let w = workload(name, args.scale).expect("HarnessArgs holds known names only");
+            let stats = run_config(&w, width, Scheme::Base.configure(width));
+            eprintln!(" ipc {:.3}", stats.ipc());
+            (*name, stats)
         })
         .collect()
 }
 
-/// Runs one workload/scheme, panicking on harness-level errors (bad name,
-/// checksum mismatch) since those are not recoverable mid-experiment.
+/// Runs one workload under an explicit configuration (the base machine or
+/// an ablation's design point), checksum-verified, panicking on a fault
+/// or checksum mismatch since those are not recoverable mid-experiment.
 #[must_use]
-pub fn run_once(name: &str, scale: Scale, width: MachineWidth, scheme: Scheme) -> RunResult {
-    run_workload(name, scale, width, scheme).unwrap_or_else(|e| panic!("{e}"))
+pub fn run_config(w: &Workload, width: MachineWidth, config: SimConfig) -> SimStats {
+    let spec = RunSpec { config, ..RunSpec::workload(w, Scheme::Base, width) };
+    run(&spec).unwrap_or_else(|e| panic!("{e}")).stats
 }
 
 /// Borrows `(name, stats)` pairs in the form the report functions take.

@@ -11,11 +11,12 @@
 //!   combined);
 //! * [`MachineWidth`] selects the paper's 4-wide or 8-wide machine
 //!   (Table 1);
-//! * [`run_workload`] simulates one benchmark under one configuration and
-//!   verifies that timing never changed the architectural result;
-//! * [`run_matrix`] sweeps benchmarks × schemes serially, and
-//!   [`run_matrix_parallel`] fans the independent cells out across worker
-//!   threads ([`pool`]) with bit-identical results;
+//! * [`run`] simulates one [`RunSpec`] — a program under one scheme,
+//!   width and configuration, in full detail or sampled — and verifies
+//!   that timing never changed the architectural result;
+//! * [`run_matrix`] sweeps benchmarks × schemes, fanning the independent
+//!   cells out across worker threads ([`pool`]) with results that do not
+//!   depend on the thread count;
 //! * [`report`] renders every figure and table of the paper's evaluation
 //!   from the collected statistics.
 //!
@@ -28,12 +29,13 @@
 //! # Example
 //!
 //! ```
-//! use hpa_core::{run_workload, MachineWidth, Scheme};
-//! use hpa_core::workloads::Scale;
+//! use hpa_core::{run, MachineWidth, RunSpec, Scheme};
+//! use hpa_core::workloads::{workload, Scale};
 //!
 //! # fn main() -> Result<(), hpa_core::RunError> {
-//! let base = run_workload("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Base)?;
-//! let half = run_workload("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Combined)?;
+//! let gcc = workload("gcc", Scale::Tiny).expect("built-in");
+//! let base = run(&RunSpec::workload(&gcc, Scheme::Base, MachineWidth::Four))?;
+//! let half = run(&RunSpec::workload(&gcc, Scheme::Combined, MachineWidth::Four))?;
 //! let slowdown = 1.0 - half.stats.ipc() / base.stats.ipc();
 //! assert!(slowdown < 0.10, "half-price costs only a few percent");
 //! # Ok(())
@@ -54,18 +56,12 @@ pub use hpa_rv as rv;
 pub use hpa_sim as sim;
 pub use hpa_workloads as workloads;
 
-mod backend;
 pub mod pool;
 pub mod report;
 mod runner;
 mod scheme;
 
-pub use backend::{ArchView, Backend, BackendError};
 pub use hpa_obs::{Counters, CpiCategory, CpiStack};
 pub use pool::{default_jobs, parallel_map, parallel_map_isolated, JobError};
-pub use runner::{
-    run_matrix, run_matrix_parallel, run_matrix_parallel_observed, run_prepared,
-    run_prepared_observed, run_prepared_phase_timed, run_workload, run_workload_observed,
-    run_workload_sampled, MatrixResult, RunError, RunResult,
-};
+pub use runner::{run, run_matrix, MatrixResult, Observe, RunError, RunMode, RunResult, RunSpec};
 pub use scheme::{MachineWidth, Scheme};

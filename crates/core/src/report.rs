@@ -283,7 +283,7 @@ pub fn normalized_ipc_figure(title: &str, matrix: &MatrixResult, schemes: &[Sche
     let mut t = Table { title: title.to_string(), headers, rows: Vec::new() };
     for row in &matrix.rows {
         let Some(base) = row.iter().find(|r| r.scheme == Scheme::Base) else { continue };
-        let mut cells = vec![base.workload.to_string(), format!("{:.3}", base.stats.ipc())];
+        let mut cells = vec![base.workload.clone(), format!("{:.3}", base.stats.ipc())];
         for &scheme in schemes {
             match row.iter().find(|r| r.scheme == scheme) {
                 Some(r) => cells.push(format!("{:.3}", r.stats.ipc() / base.stats.ipc())),
@@ -301,8 +301,8 @@ pub fn normalized_ipc_figure(title: &str, matrix: &MatrixResult, schemes: &[Sche
     t
 }
 
-/// CPI-stack table from an *observed* matrix (see
-/// [`crate::run_matrix_parallel_observed`]): one row per (workload,
+/// CPI-stack table from an *observed* matrix ([`crate::run_matrix`] with
+/// [`crate::Observe::counters`] set): one row per (workload,
 /// scheme) cell, one column per [`CpiCategory`], each the percentage of
 /// the machine's issue slots attributed to that cause. The per-scheme
 /// deltas against the base rows are the paper's Figures 10–14 degradation
@@ -318,7 +318,7 @@ pub fn cpi_stack_table(title: &str, matrix: &MatrixResult, schemes: &[Scheme]) -
         for &scheme in schemes {
             let Some(r) = row.iter().find(|r| r.scheme == scheme) else { continue };
             let Some(c) = r.counters.as_ref() else { continue };
-            let mut cells = vec![r.workload.to_string(), scheme.key().to_string()];
+            let mut cells = vec![r.workload.clone(), scheme.key().to_string()];
             cells.extend(
                 CpiCategory::ALL.iter().map(|&cat| format!("{:.2}", 100.0 * c.cpi.fraction(cat))),
             );
@@ -418,7 +418,7 @@ mod tests {
 #[cfg(test)]
 mod matrix_report_tests {
     use super::*;
-    use crate::runner::run_matrix;
+    use crate::runner::{run_matrix, Observe};
     use crate::scheme::MachineWidth;
     use hpa_workloads::Scale;
 
@@ -429,6 +429,8 @@ mod matrix_report_tests {
             Scale::Tiny,
             MachineWidth::Four,
             &[Scheme::Base, Scheme::SeqRegAccess, Scheme::Combined],
+            1,
+            Observe::default(),
             |_| {},
         )
         .expect("runs");
@@ -447,8 +449,16 @@ mod matrix_report_tests {
 
     #[test]
     fn missing_scheme_renders_a_dash() {
-        let m = run_matrix(&["gcc"], Scale::Tiny, MachineWidth::Four, &[Scheme::Base], |_| {})
-            .expect("runs");
+        let m = run_matrix(
+            &["gcc"],
+            Scale::Tiny,
+            MachineWidth::Four,
+            &[Scheme::Base],
+            1,
+            Observe::default(),
+            |_| {},
+        )
+        .expect("runs");
         let t = normalized_ipc_figure("test", &m, &[Scheme::Combined]);
         assert_eq!(t.rows[0][2], "-");
     }

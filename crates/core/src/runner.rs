@@ -1,20 +1,25 @@
-//! Experiment execution: workloads × schemes, with architectural
-//! verification after every run.
+//! Experiment execution: one run path for every (program, scheme,
+//! width) cell, with architectural verification after every run.
+//!
+//! [`run`] simulates one [`RunSpec`] — full detail (optionally observed)
+//! or sampled — and [`run_matrix`] fans a workloads × schemes sweep out
+//! over worker threads with `run` as the cell body.
 
 use crate::pool::parallel_map_isolated;
 use crate::scheme::{MachineWidth, Scheme};
+use hpa_asm::Program;
 use hpa_obs::Counters;
 use hpa_sim::{
-    PhaseTimes, SampleUnits, SampledEstimate, SampledRunner, SimConfig, SimFault, SimStats,
-    Simulator,
+    PhaseTimes, PipeTrace, SampleUnits, SampledEstimate, SampledRunner, SimConfig, SimFault,
+    SimStats, Simulator,
 };
 use hpa_workloads::{workload, Scale, Workload, CHECKSUM_REG};
 use std::fmt;
 
-/// Errors from [`run_workload`].
+/// Errors from [`run`] and [`run_matrix`].
 #[derive(Clone, Debug)]
 pub enum RunError {
-    /// The workload name is not one of the twelve benchmarks.
+    /// The workload name is not one of the built-in benchmarks.
     UnknownWorkload {
         /// The offending name.
         name: String,
@@ -23,7 +28,7 @@ pub enum RunError {
     /// simulator bug, reported rather than panicking so sweeps can
     /// surface it.
     ChecksumMismatch {
-        /// The workload.
+        /// The run's label.
         name: String,
         /// Checksum computed under the timing simulator's emulator.
         actual: u64,
@@ -33,7 +38,7 @@ pub enum RunError {
     /// The simulation itself faulted (emulator error, deadlock, invariant
     /// or commit-hook violation) instead of running to completion.
     Sim {
-        /// The workload.
+        /// The run's label.
         name: String,
         /// The structured fault.
         fault: SimFault,
@@ -68,208 +73,201 @@ impl fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// The outcome of simulating one workload under one configuration.
+/// What a full-detail run records besides [`SimStats`]. Observation never
+/// perturbs timing: `stats` are bit-identical whatever is switched on.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Observe {
+    /// Record the observability registry (CPI stack, penalty histograms)
+    /// into [`RunResult::counters`].
+    pub counters: bool,
+    /// Accumulate per-phase wall time into [`RunResult::phase_times`].
+    /// The stopwatch reads slow the run, so keep timed runs apart from
+    /// throughput measurements.
+    pub phase_timing: bool,
+    /// Record a pipeline trace of the first `trace` committed
+    /// instructions into [`RunResult::pipetrace`]; 0 records none.
+    pub trace: usize,
+}
+
+/// How a [`RunSpec`] is simulated.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum RunMode {
+    /// Every cycle of the whole program, with what to observe.
+    Full(Observe),
+    /// SMARTS-style sampling (see `hpa_sim::SampledRunner`): functional
+    /// fast-forward with branch-table warming between short detailed
+    /// windows, `units` = `W:D:F`, `seed` placing the first window.
+    Sampled {
+        /// Warmup, detail and fast-forward lengths of one sampling unit.
+        units: SampleUnits,
+        /// Shifts where the first unit begins.
+        seed: u64,
+    },
+}
+
+/// One cell to simulate. Build it with [`RunSpec::workload`] or
+/// [`RunSpec::program`] and override fields with struct-update syntax:
+///
+/// ```
+/// use hpa_core::{run, MachineWidth, Observe, RunMode, RunSpec, Scheme};
+/// use hpa_core::workloads::{workload, Scale};
+///
+/// let w = workload("gcc", Scale::Tiny).expect("built-in");
+/// let observed = RunSpec {
+///     mode: RunMode::Full(Observe { counters: true, ..Observe::default() }),
+///     ..RunSpec::workload(&w, Scheme::Combined, MachineWidth::Four)
+/// };
+/// let r = run(&observed).expect("checksum verified");
+/// assert!(r.counters.is_some());
+/// ```
+#[derive(Clone, Debug)]
+pub struct RunSpec<'a> {
+    /// Names the run in results and errors: the workload name or the
+    /// program's file path.
+    pub label: &'a str,
+    /// The program, borrowed: Long workloads carry data images of tens of
+    /// MiB.
+    pub program: &'a Program,
+    /// The value the program must leave in [`CHECKSUM_REG`]; `None` runs
+    /// unverified (programs without a reference model).
+    pub checksum: Option<u64>,
+    /// The paper scheme the run is reported under.
+    pub scheme: Scheme,
+    /// The machine width the run is reported under.
+    pub width: MachineWidth,
+    /// The configuration actually simulated: `scheme.configure(width)`
+    /// unless overridden (ablations, per-request table sizes).
+    pub config: SimConfig,
+    /// Full-detail watchdog: the run fails with a deadlock fault if the
+    /// machine is still active at this cycle (`u64::MAX` leaves it
+    /// unarmed). Sampled windows have their own deadlock detector and
+    /// ignore it.
+    pub cycle_budget: u64,
+    /// Full detail (with an observe set) or sampled.
+    pub mode: RunMode,
+}
+
+impl<'a> RunSpec<'a> {
+    /// A full-detail, unobserved, unverified run of `program` under
+    /// `scheme` at `width`.
+    #[must_use]
+    pub fn program(
+        label: &'a str,
+        program: &'a Program,
+        scheme: Scheme,
+        width: MachineWidth,
+    ) -> RunSpec<'a> {
+        RunSpec {
+            label,
+            program,
+            checksum: None,
+            scheme,
+            width,
+            config: scheme.configure(width),
+            cycle_budget: u64::MAX,
+            mode: RunMode::Full(Observe::default()),
+        }
+    }
+
+    /// [`RunSpec::program`] for a built-in workload, verified against its
+    /// reference checksum.
+    #[must_use]
+    pub fn workload(w: &'a Workload, scheme: Scheme, width: MachineWidth) -> RunSpec<'a> {
+        RunSpec {
+            checksum: Some(w.expected_checksum),
+            ..RunSpec::program(w.name, &w.program, scheme, width)
+        }
+    }
+}
+
+/// The outcome of simulating one [`RunSpec`].
 #[derive(Clone, PartialEq, Debug)]
 pub struct RunResult {
-    /// Workload name.
-    pub workload: &'static str,
+    /// The spec's label (workload name or file path).
+    pub workload: String,
     /// Scheme that was simulated.
     pub scheme: Scheme,
     /// Machine width.
     pub width: MachineWidth,
-    /// Full simulator statistics.
+    /// Full simulator statistics. For a sampled run these are the
+    /// *summed* detailed-window `committed` and `cycles` only, not a
+    /// whole-program simulation.
     pub stats: SimStats,
-    /// Observability registry (CPI stack, penalty histograms); present
-    /// only for `*_observed` runs. Never affects `stats` — the
-    /// differential suite holds observed and unobserved runs
-    /// bit-identical.
+    /// Observability registry, when [`Observe::counters`] was set.
     pub counters: Option<Counters>,
+    /// Per-phase wall time, when [`Observe::phase_timing`] was set.
+    pub phase_times: Option<PhaseTimes>,
+    /// Pipeline trace, when [`Observe::trace`] was nonzero.
+    pub pipetrace: Option<PipeTrace>,
     /// Sampled-mode estimate (mean IPC ± confidence interval and the
-    /// per-window samples); present only for [`run_workload_sampled`]
-    /// runs. When set, `stats` holds the *summed* detailed-window
-    /// statistics — cycles and commits across all measured stretches —
-    /// not a whole-program simulation.
+    /// per-window samples), for [`RunMode::Sampled`] runs.
     pub sampled: Option<SampledEstimate>,
 }
 
-/// Simulates one workload under a named scheme, verifying the checksum.
+/// Simulates one cell and verifies its checksum.
+///
+/// A sampled run verifies the checksum on the runner's main emulator,
+/// which functionally executes the complete program regardless of
+/// sampling — sampled timing is approximate, sampled architecture is not.
 ///
 /// # Errors
 ///
-/// [`RunError::UnknownWorkload`] for a bad name and
-/// [`RunError::ChecksumMismatch`] if timing altered semantics (never
-/// expected; would indicate a simulator bug).
-pub fn run_workload(
-    name: &str,
-    scale: Scale,
-    width: MachineWidth,
-    scheme: Scheme,
-) -> Result<RunResult, RunError> {
-    run_workload_observed(name, scale, width, scheme, false)
-}
-
-/// [`run_workload`] with the observability registry enabled when
-/// `observe` is set: the result then carries [`RunResult::counters`].
-///
-/// # Errors
-///
-/// As [`run_workload`].
-pub fn run_workload_observed(
-    name: &str,
-    scale: Scale,
-    width: MachineWidth,
-    scheme: Scheme,
-    observe: bool,
-) -> Result<RunResult, RunError> {
-    let w = workload(name, scale)
-        .ok_or_else(|| RunError::UnknownWorkload { name: name.to_string() })?;
-    run_prepared_observed(&w, scheme.configure(width), scheme, width, observe)
-}
-
-/// Simulates one workload in SMARTS-style sampled mode: functional
-/// fast-forward with branch-table warming between short detailed windows
-/// (see `hpa_sim::SampledRunner`). Orders of magnitude faster than
-/// [`run_workload`] on long workloads; the IPC arrives as an estimate
-/// with a confidence interval in [`RunResult::sampled`], and
-/// [`RunResult::stats`] carries the summed measured-window statistics.
-///
-/// The workload checksum is verified on the runner's main emulator, which
-/// functionally executes the complete program regardless of sampling —
-/// sampled timing is approximate, sampled architecture is not.
-///
-/// # Errors
-///
-/// As [`run_workload`], plus [`RunError::Sim`] for a fault in any
-/// detailed window.
-pub fn run_workload_sampled(
-    name: &str,
-    scale: Scale,
-    width: MachineWidth,
-    scheme: Scheme,
-    units: SampleUnits,
-    seed: u64,
-) -> Result<RunResult, RunError> {
-    let w = workload(name, scale)
-        .ok_or_else(|| RunError::UnknownWorkload { name: name.to_string() })?;
-    let runner = SampledRunner::new(scheme.configure(width), units).with_seed(seed);
-    let outcome =
-        runner.run(&w.program).map_err(|fault| RunError::Sim { name: name.to_string(), fault })?;
-    let actual = outcome.emulator.reg(CHECKSUM_REG);
-    if actual != w.expected_checksum {
-        return Err(RunError::ChecksumMismatch {
-            name: w.name.to_string(),
-            actual,
-            expected: w.expected_checksum,
-        });
-    }
-    let estimate = outcome.estimate;
-    let stats = SimStats {
-        committed: estimate.samples.iter().map(|s| s.committed).sum(),
-        cycles: estimate.samples.iter().map(|s| s.cycles).sum(),
-        ..SimStats::default()
-    };
-    Ok(RunResult {
-        workload: w.name,
-        scheme,
-        width,
-        stats,
+/// [`RunError::Sim`] if the simulation faulted (including an exhausted
+/// cycle budget) and [`RunError::ChecksumMismatch`] if timing altered
+/// semantics (never expected; would indicate a simulator bug).
+pub fn run(spec: &RunSpec<'_>) -> Result<RunResult, RunError> {
+    let fault = |fault| RunError::Sim { name: spec.label.to_string(), fault };
+    let mut result = RunResult {
+        workload: spec.label.to_string(),
+        scheme: spec.scheme,
+        width: spec.width,
+        stats: SimStats::default(),
         counters: None,
-        sampled: Some(estimate),
-    })
-}
-
-/// Simulates an already-built workload under an explicit configuration.
-///
-/// # Errors
-///
-/// [`RunError::ChecksumMismatch`] if timing altered semantics.
-pub fn run_prepared(
-    w: &Workload,
-    config: SimConfig,
-    scheme: Scheme,
-    width: MachineWidth,
-) -> Result<RunResult, RunError> {
-    run_prepared_observed(w, config, scheme, width, false)
-}
-
-/// [`run_prepared`] with the observability registry enabled when
-/// `observe` is set.
-///
-/// # Errors
-///
-/// As [`run_prepared`].
-pub fn run_prepared_observed(
-    w: &Workload,
-    config: SimConfig,
-    scheme: Scheme,
-    width: MachineWidth,
-    observe: bool,
-) -> Result<RunResult, RunError> {
-    let mut sim = Simulator::new(&w.program, config);
-    if observe {
-        sim.enable_counters();
-    }
-    sim.try_run().map_err(|fault| RunError::Sim { name: w.name.to_string(), fault })?;
-    let actual = sim.emulator().reg(CHECKSUM_REG);
-    if actual != w.expected_checksum {
-        return Err(RunError::ChecksumMismatch {
-            name: w.name.to_string(),
-            actual,
-            expected: w.expected_checksum,
-        });
-    }
-    Ok(RunResult {
-        workload: w.name,
-        scheme,
-        width,
-        stats: sim.stats().clone(),
-        counters: observe.then(|| sim.counters().clone()),
+        phase_times: None,
+        pipetrace: None,
         sampled: None,
-    })
-}
-
-/// [`run_prepared`] with per-phase wall-time accounting enabled: returns
-/// the result plus the [`PhaseTimes`] accumulated over the run. Used by
-/// the perf harness to attribute throughput changes to a phase; the
-/// stopwatch reads slow the run, so the timed run is kept separate from
-/// headline throughput measurements.
-///
-/// # Errors
-///
-/// As [`run_prepared`].
-pub fn run_prepared_phase_timed(
-    w: &Workload,
-    config: SimConfig,
-    scheme: Scheme,
-    width: MachineWidth,
-    observe: bool,
-) -> Result<(RunResult, PhaseTimes), RunError> {
-    let mut sim = Simulator::new(&w.program, config);
-    if observe {
-        sim.enable_counters();
+    };
+    let actual = match spec.mode {
+        RunMode::Full(observe) => {
+            let mut sim = Simulator::new(spec.program, spec.config.clone());
+            sim.set_cycle_budget(spec.cycle_budget);
+            if observe.counters {
+                sim.enable_counters();
+            }
+            if observe.phase_timing {
+                sim.enable_phase_timing();
+            }
+            if observe.trace > 0 {
+                sim.enable_trace(observe.trace);
+            }
+            sim.try_run().map_err(fault)?;
+            result.stats = sim.stats().clone();
+            result.counters = observe.counters.then(|| sim.counters().clone());
+            result.phase_times = sim.phase_times().copied();
+            result.pipetrace = sim.pipetrace().cloned();
+            sim.emulator().reg(CHECKSUM_REG)
+        }
+        RunMode::Sampled { units, seed } => {
+            let outcome = SampledRunner::new(spec.config.clone(), units)
+                .with_seed(seed)
+                .run(spec.program)
+                .map_err(fault)?;
+            let estimate = outcome.estimate;
+            result.stats = SimStats {
+                committed: estimate.samples.iter().map(|s| s.committed).sum(),
+                cycles: estimate.samples.iter().map(|s| s.cycles).sum(),
+                ..SimStats::default()
+            };
+            result.sampled = Some(estimate);
+            outcome.emulator.reg(CHECKSUM_REG)
+        }
+    };
+    match spec.checksum {
+        Some(expected) if actual != expected => {
+            Err(RunError::ChecksumMismatch { name: spec.label.to_string(), actual, expected })
+        }
+        _ => Ok(result),
     }
-    sim.enable_phase_timing();
-    sim.try_run().map_err(|fault| RunError::Sim { name: w.name.to_string(), fault })?;
-    let actual = sim.emulator().reg(CHECKSUM_REG);
-    if actual != w.expected_checksum {
-        return Err(RunError::ChecksumMismatch {
-            name: w.name.to_string(),
-            actual,
-            expected: w.expected_checksum,
-        });
-    }
-    let times = *sim.phase_times().expect("phase timing was enabled");
-    Ok((
-        RunResult {
-            workload: w.name,
-            scheme,
-            width,
-            stats: sim.stats().clone(),
-            counters: observe.then(|| sim.counters().clone()),
-            sampled: None,
-        },
-        times,
-    ))
 }
 
 /// Results of a benchmarks × schemes sweep at one machine width.
@@ -277,9 +275,9 @@ pub fn run_prepared_phase_timed(
 pub struct MatrixResult {
     /// The machine width the matrix was collected at.
     pub width: MachineWidth,
-    /// One row per workload, in [`hpa_workloads::WORKLOAD_NAMES`] order,
-    /// each holding one result per requested scheme (same order as the
-    /// `schemes` argument of [`run_matrix`]).
+    /// One row per workload, in the order of the `workload_names`
+    /// argument of [`run_matrix`], each holding one result per requested
+    /// scheme (same order as its `schemes` argument).
     pub rows: Vec<Vec<RunResult>>,
 }
 
@@ -323,89 +321,43 @@ impl MatrixResult {
     /// The worst (largest) per-workload degradation of a scheme, with the
     /// workload name.
     #[must_use]
-    pub fn worst_degradation(&self, scheme: Scheme) -> Option<(&'static str, f64)> {
-        let mut worst: Option<(&'static str, f64)> = None;
+    pub fn worst_degradation(&self, scheme: Scheme) -> Option<(&str, f64)> {
+        let mut worst: Option<(&str, f64)> = None;
         for row in &self.rows {
             let base = row.iter().find(|r| r.scheme == Scheme::Base)?;
             let s = row.iter().find(|r| r.scheme == scheme)?;
             let d = 1.0 - s.stats.ipc() / base.stats.ipc();
             if worst.is_none_or(|(_, w)| d > w) {
-                worst = Some((s.workload, d));
+                worst = Some((&s.workload, d));
             }
         }
         worst
     }
 }
 
-/// Runs `workload_names` × `schemes` at one width, calling `progress`
-/// after each simulation (for harness logging).
+/// Runs `workload_names` × `schemes` at one width, each cell a full-detail
+/// [`run`] with `observe`, fanned out across `jobs` worker threads.
 ///
-/// # Errors
-///
-/// Propagates the first [`RunError`].
-pub fn run_matrix(
-    workload_names: &[&str],
-    scale: Scale,
-    width: MachineWidth,
-    schemes: &[Scheme],
-    mut progress: impl FnMut(&RunResult),
-) -> Result<MatrixResult, RunError> {
-    let mut rows = Vec::with_capacity(workload_names.len());
-    for name in workload_names {
-        let w = workload(name, scale)
-            .ok_or_else(|| RunError::UnknownWorkload { name: (*name).to_string() })?;
-        let mut row = Vec::with_capacity(schemes.len());
-        for &scheme in schemes {
-            let r = run_prepared(&w, scheme.configure(width), scheme, width)?;
-            progress(&r);
-            row.push(r);
-        }
-        rows.push(row);
-    }
-    Ok(MatrixResult { width, rows })
-}
-
-/// Runs `workload_names` × `schemes` at one width with the independent
-/// `(workload, scheme)` cells fanned out across `jobs` worker threads.
-///
-/// The result is bit-identical to [`run_matrix`]: each cell is a
-/// self-contained single-threaded simulation, rows and columns keep the
-/// input order, and on failure the error of the *first* failing cell (in
-/// row-major order) is returned, regardless of completion order. The
-/// `progress` callback fires from worker threads as cells complete, so
-/// its call order is nondeterministic (pass `jobs = 1` for serial order).
+/// The result does not depend on `jobs`: each cell is a self-contained
+/// single-threaded simulation, rows and columns keep the input order, and
+/// on failure the error of the *first* failing cell (in row-major order)
+/// is returned, regardless of completion order. Each cell runs
+/// panic-isolated, so a panicking cell becomes [`RunError::CellPanic`]
+/// while every other cell still runs. `progress` fires after each
+/// successful cell, from worker threads in completion order (`jobs = 1`
+/// gives the serial order).
 ///
 /// # Errors
 ///
 /// [`RunError::UnknownWorkload`] for a bad name (checked up front, in
 /// order) and the row-major-first [`RunError`] of any failed cell.
-pub fn run_matrix_parallel(
+pub fn run_matrix(
     workload_names: &[&str],
     scale: Scale,
     width: MachineWidth,
     schemes: &[Scheme],
     jobs: usize,
-    progress: impl Fn(&RunResult) + Sync,
-) -> Result<MatrixResult, RunError> {
-    run_matrix_parallel_observed(workload_names, scale, width, schemes, jobs, false, progress)
-}
-
-/// [`run_matrix_parallel`] with the observability registry enabled when
-/// `observe` is set: every cell then carries its [`RunResult::counters`]
-/// (CPI stacks for the report layer). Observation never perturbs timing,
-/// so the `stats` of an observed matrix are bit-identical to an
-/// unobserved one.
-///
-/// # Errors
-///
-/// As [`run_matrix_parallel`].
-pub fn run_matrix_parallel_observed(
-    workload_names: &[&str],
-    scale: Scale,
-    width: MachineWidth,
-    schemes: &[Scheme],
-    jobs: usize,
-    observe: bool,
+    observe: Observe,
     progress: impl Fn(&RunResult) + Sync,
 ) -> Result<MatrixResult, RunError> {
     let workloads = workload_names
@@ -417,13 +369,12 @@ pub fn run_matrix_parallel_observed(
         .collect::<Result<Vec<_>, _>>()?;
     let cells: Vec<(usize, usize)> =
         (0..workloads.len()).flat_map(|wi| (0..schemes.len()).map(move |si| (wi, si))).collect();
-    // Each cell runs panic-isolated: a panicking cell becomes a structured
-    // `CellPanic` error instead of tearing down the whole sweep, and every
-    // other cell still runs to completion.
     let results = parallel_map_isolated(&cells, jobs, |_, &(wi, si)| {
-        let scheme = schemes[si];
-        let r =
-            run_prepared_observed(&workloads[wi], scheme.configure(width), scheme, width, observe);
+        let spec = RunSpec {
+            mode: RunMode::Full(observe),
+            ..RunSpec::workload(&workloads[wi], schemes[si], width)
+        };
+        let r = run(&spec);
         if let Ok(ref ok) = r {
             progress(ok);
         }
@@ -453,19 +404,47 @@ pub fn run_matrix_parallel_observed(
 mod tests {
     use super::*;
 
+    fn tiny(name: &str) -> Workload {
+        workload(name, Scale::Tiny).expect("built-in workload")
+    }
+
+    fn matrix(names: &[&str], schemes: &[Scheme], jobs: usize) -> MatrixResult {
+        run_matrix(
+            names,
+            Scale::Tiny,
+            MachineWidth::Four,
+            schemes,
+            jobs,
+            Observe::default(),
+            |_| {},
+        )
+        .expect("runs")
+    }
+
     #[test]
     fn unknown_workload_is_an_error() {
-        let e = run_workload("nonesuch", Scale::Tiny, MachineWidth::Four, Scheme::Base);
+        let e = run_matrix(
+            &["nonesuch"],
+            Scale::Tiny,
+            MachineWidth::Four,
+            &[Scheme::Base],
+            1,
+            Observe::default(),
+            |_| {},
+        );
         assert!(matches!(e, Err(RunError::UnknownWorkload { .. })));
         assert!(e.unwrap_err().to_string().contains("nonesuch"));
     }
 
     #[test]
     fn sampled_run_estimates_ipc_and_verifies_checksum() {
+        let w = tiny("gcc");
         let units = SampleUnits::parse("500:1000:4000").expect("valid units");
-        let sampled =
-            run_workload_sampled("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Base, units, 42)
-                .expect("sampled run succeeds (checksum verified inside)");
+        let spec = RunSpec {
+            mode: RunMode::Sampled { units, seed: 42 },
+            ..RunSpec::workload(&w, Scheme::Base, MachineWidth::Four)
+        };
+        let sampled = run(&spec).expect("sampled run succeeds (checksum verified inside)");
         let estimate = sampled.sampled.as_ref().expect("sampled estimate present");
         assert!(estimate.mean_ipc > 0.0);
         assert!(!estimate.samples.is_empty());
@@ -474,26 +453,54 @@ mod tests {
             estimate.samples.iter().map(|s| s.committed).sum::<u64>()
         );
         // Close to the full detailed run even at tiny scale.
-        let full = run_workload("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Base).unwrap();
+        let full = run(&RunSpec::workload(&w, Scheme::Base, MachineWidth::Four)).unwrap();
         let err = estimate.rel_error(full.stats.ipc());
         assert!(err < 0.15, "sampled IPC off by {:.1}% from full", err * 100.0);
         // Deterministic: same (workload, units, seed) -> identical result.
-        let again =
-            run_workload_sampled("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Base, units, 42)
-                .unwrap();
-        assert_eq!(sampled, again);
+        assert_eq!(sampled, run(&spec).unwrap());
+    }
+
+    /// A wrong reference checksum and an exhausted cycle budget are both
+    /// structured errors naming the run's label.
+    #[test]
+    fn checksum_and_budget_failures_are_structured() {
+        let w = tiny("gcc");
+        let base = RunSpec::workload(&w, Scheme::Base, MachineWidth::Four);
+        let wrong = RunSpec { checksum: Some(w.expected_checksum ^ 1), ..base.clone() };
+        assert!(
+            matches!(run(&wrong), Err(RunError::ChecksumMismatch { ref name, .. }) if name == "gcc")
+        );
+        let starved = RunSpec { cycle_budget: 10, ..base };
+        match run(&starved) {
+            Err(RunError::Sim { name, fault: SimFault::Deadlock { .. } }) => {
+                assert_eq!(name, "gcc")
+            }
+            other => panic!("expected a deadlock fault, got {other:?}"),
+        }
+    }
+
+    /// The observe set fills exactly the fields it names.
+    #[test]
+    fn observe_set_fills_its_fields() {
+        let w = tiny("gcc");
+        let plain = run(&RunSpec::workload(&w, Scheme::Base, MachineWidth::Four)).unwrap();
+        assert!(plain.counters.is_none() && plain.phase_times.is_none());
+        assert!(plain.pipetrace.is_none() && plain.sampled.is_none());
+        let observe = Observe { counters: true, phase_timing: true, trace: 16 };
+        let spec = RunSpec {
+            mode: RunMode::Full(observe),
+            ..RunSpec::workload(&w, Scheme::Base, MachineWidth::Four)
+        };
+        let r = run(&spec).unwrap();
+        assert_eq!(r.stats, plain.stats, "observation perturbed timing");
+        assert!(r.counters.is_some());
+        assert_eq!(r.phase_times.expect("timed").cycles, r.stats.cycles);
+        assert_eq!(r.pipetrace.expect("traced").records().len(), 16);
     }
 
     #[test]
     fn matrix_collects_and_normalizes() {
-        let m = run_matrix(
-            &["gcc"],
-            Scale::Tiny,
-            MachineWidth::Four,
-            &[Scheme::Base, Scheme::Combined],
-            |_| {},
-        )
-        .expect("runs");
+        let m = matrix(&["gcc"], &[Scheme::Base, Scheme::Combined], 1);
         let norm = m.normalized_ipc("gcc", Scheme::Combined).expect("both runs present");
         assert!(norm > 0.85 && norm <= 1.01, "normalized IPC = {norm}");
         let avg = m.average_degradation(Scheme::Combined);
@@ -502,21 +509,20 @@ mod tests {
         assert!((avg - worst).abs() < 1e-12, "single workload: avg == worst");
     }
 
-    /// The tentpole determinism guarantee: the parallel matrix is
-    /// bit-identical to the serial one — every `SimStats` counter, every
-    /// row/column position — at both machine widths.
+    /// The determinism guarantee: a parallel matrix is bit-identical to
+    /// the serial one — every `SimStats` counter, every row/column
+    /// position — at both machine widths.
     #[test]
     fn parallel_matrix_is_bit_identical_to_serial() {
         let names = ["gcc", "mcf"];
         let schemes = [Scheme::Base, Scheme::Combined];
         for width in MachineWidth::ALL {
-            let serial =
-                run_matrix(&names, Scale::Tiny, width, &schemes, |_| {}).expect("serial runs");
-            for jobs in [1, 3] {
-                let par = run_matrix_parallel(&names, Scale::Tiny, width, &schemes, jobs, |_| {})
-                    .expect("parallel runs");
-                assert_eq!(serial, par, "jobs={jobs} width={width:?}");
-            }
+            let run = |jobs| {
+                run_matrix(&names, Scale::Tiny, width, &schemes, jobs, Observe::default(), |_| {})
+                    .expect("runs")
+            };
+            let serial = run(1);
+            assert_eq!(serial, run(3), "width={width:?}");
         }
     }
 
@@ -527,18 +533,11 @@ mod tests {
     fn observed_matrix_balances_books_without_perturbing_stats() {
         let names = ["gcc"];
         let schemes = [Scheme::Base, Scheme::Combined];
-        let plain =
-            run_matrix(&names, Scale::Tiny, MachineWidth::Four, &schemes, |_| {}).expect("runs");
-        let observed = run_matrix_parallel_observed(
-            &names,
-            Scale::Tiny,
-            MachineWidth::Four,
-            &schemes,
-            2,
-            true,
-            |_| {},
-        )
-        .expect("runs");
+        let plain = matrix(&names, &schemes, 1);
+        let counters = Observe { counters: true, ..Observe::default() };
+        let observed =
+            run_matrix(&names, Scale::Tiny, MachineWidth::Four, &schemes, 2, counters, |_| {})
+                .expect("runs");
         let width = u64::from(MachineWidth::Four.base_config().width);
         for (prow, orow) in plain.rows.iter().zip(&observed.rows) {
             for (p, o) in prow.iter().zip(orow) {
@@ -557,12 +556,13 @@ mod tests {
     /// row-major order wins, regardless of completion order.
     #[test]
     fn parallel_matrix_propagates_unknown_workload() {
-        let e = run_matrix_parallel(
+        let e = run_matrix(
             &["gcc", "nonesuch"],
             Scale::Tiny,
             MachineWidth::Four,
             &[Scheme::Base],
             4,
+            Observe::default(),
             |_| {},
         );
         assert!(matches!(e, Err(RunError::UnknownWorkload { .. })));
@@ -574,12 +574,13 @@ mod tests {
     fn parallel_matrix_isolates_a_panicking_cell() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let completed = AtomicUsize::new(0);
-        let e = run_matrix_parallel(
+        let e = run_matrix(
             &["gcc", "gzip"],
             Scale::Tiny,
             MachineWidth::Four,
             &[Scheme::Base, Scheme::Combined],
             2,
+            Observe::default(),
             |r| {
                 assert!(
                     !(r.workload == "gzip" && r.scheme == Scheme::Combined),
@@ -604,12 +605,13 @@ mod tests {
     fn parallel_progress_fires_per_cell() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let count = AtomicUsize::new(0);
-        let m = run_matrix_parallel(
+        let m = run_matrix(
             &["gcc", "gzip"],
             Scale::Tiny,
             MachineWidth::Four,
             &[Scheme::Base, Scheme::SeqRegAccess],
             2,
+            Observe::default(),
             |_| {
                 count.fetch_add(1, Ordering::Relaxed);
             },

@@ -309,8 +309,8 @@ impl Client {
         self.call_json_retrying("GET", "/health", "")
     }
 
-    /// Requests a graceful shutdown: the daemon drains its queue,
-    /// flushes the cache index and exits. Deliberately *not* retried —
+    /// Requests a graceful shutdown: the daemon drains its queue and
+    /// exits. Deliberately *not* retried —
     /// once the daemon accepts it, subsequent attempts race its exit and
     /// would misreport a successful shutdown as an error.
     ///

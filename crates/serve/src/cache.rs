@@ -17,20 +17,15 @@
 //! any config knob — width, RUU size, wakeup scheme, PC-table size —
 //! perturbs the key without this module naming every field.
 //!
-//! The on-disk store is one file per entry, `<dir>/<0x-key>.json`,
-//! written to a temp file and atomically renamed into place so a crash
-//! mid-write can never leave a half-written entry for a later server to
-//! serve. Writes are write-through; the in-memory index fronts reads.
+//! The cache itself is an in-memory index. It is not a durable store: with
+//! a journal configured, startup replay puts every journaled `done`
+//! cell back into it, so the journal is the daemon's only durable state.
 
-use crate::proto::format_hex;
 use hpa_asm::Program;
 use hpa_core::Scheme;
 use hpa_obs::digest::fnv1a;
 use hpa_sim::{SampleUnits, SimConfig};
 use std::collections::{HashMap, VecDeque};
-use std::fmt::Write as _;
-use std::io;
-use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 /// Version tag leading the canonical encoding; bump it to invalidate
@@ -113,61 +108,22 @@ struct CacheState {
     evictions: u64,
 }
 
-/// The result cache: an in-memory index over an optional on-disk store,
-/// bounded (when configured) by entry count and payload bytes with
-/// insertion-order eviction.
+/// The result cache: an in-memory index bounded (when configured) by
+/// entry count and payload bytes with insertion-order eviction.
 pub struct ResultCache {
-    dir: Option<PathBuf>,
     max_entries: Option<usize>,
     max_bytes: Option<u64>,
     state: Mutex<CacheState>,
 }
 
 impl ResultCache {
-    /// Opens an unbounded cache; see [`ResultCache::open_bounded`].
-    ///
-    /// # Errors
-    ///
-    /// Only directory creation errors.
-    pub fn open(dir: Option<PathBuf>) -> io::Result<ResultCache> {
-        ResultCache::open_bounded(dir, None, None)
-    }
-
-    /// Opens a cache. With a directory, existing `<0x-key>.json` entries
-    /// are loaded into the index (unreadable or misnamed files are
-    /// skipped — the cache is advisory, never load-bearing); the
-    /// directory is created if missing. With `None`, the cache is
-    /// memory-only and dies with the server.
-    ///
-    /// `max_entries` / `max_bytes` bound the index for long-lived
-    /// daemons: inserting past either bound evicts oldest-inserted
-    /// entries first (and prunes their disk files). Bounds are applied
-    /// to a reloaded store too, in directory-iteration order.
-    ///
-    /// # Errors
-    ///
-    /// Only directory creation errors; a present-but-odd entry never
-    /// fails the open.
-    pub fn open_bounded(
-        dir: Option<PathBuf>,
-        max_entries: Option<usize>,
-        max_bytes: Option<u64>,
-    ) -> io::Result<ResultCache> {
-        let cache =
-            ResultCache { dir, max_entries, max_bytes, state: Mutex::new(CacheState::default()) };
-        if let Some(dir) = cache.dir.clone() {
-            std::fs::create_dir_all(&dir)?;
-            let mut state = cache.state.lock().expect("cache index");
-            for entry in std::fs::read_dir(&dir)? {
-                let Ok(entry) = entry else { continue };
-                let path = entry.path();
-                let Some(key) = entry_key(&path) else { continue };
-                if let Ok(payload) = std::fs::read_to_string(&path) {
-                    cache.insert_locked(&mut state, key, payload);
-                }
-            }
-        }
-        Ok(cache)
+    /// An empty cache. `max_entries` / `max_bytes` bound the index for
+    /// long-lived daemons: inserting past either bound evicts
+    /// oldest-inserted entries first; `None` leaves that dimension
+    /// unbounded.
+    #[must_use]
+    pub fn new(max_entries: Option<usize>, max_bytes: Option<u64>) -> ResultCache {
+        ResultCache { max_entries, max_bytes, state: Mutex::new(CacheState::default()) }
     }
 
     /// The payload for a key, if cached.
@@ -176,33 +132,14 @@ impl ResultCache {
         self.state.lock().expect("cache index").map.get(&key).cloned()
     }
 
-    /// Stores a payload under a key: into the index, and — when the
-    /// cache is disk-backed — write-through to a temp file renamed
-    /// atomically into place. A disk failure downgrades the entry to
-    /// memory-only rather than failing the job that produced it.
-    /// Inserting past a configured bound evicts oldest entries (index
-    /// and disk file both).
+    /// Stores a payload under a key, then evicts down to the configured
+    /// bounds, oldest insertion first. A single entry larger than
+    /// `max_bytes` can evict everything including itself — correct (the
+    /// bound holds), just wasteful, and only reachable with a tiny bound.
     pub fn put(&self, key: u64, payload: &str) {
-        {
-            let mut state = self.state.lock().expect("cache index");
-            self.insert_locked(&mut state, key, payload.to_string());
-        }
-        if let Some(dir) = &self.dir {
-            // Temp name is unique per key; concurrent puts of the *same*
-            // key write identical bytes, so either rename winning is fine.
-            let tmp = dir.join(format!(".{}.tmp", format_hex(key)));
-            let final_path = dir.join(format!("{}.json", format_hex(key)));
-            let _ = std::fs::write(&tmp, payload).and_then(|()| std::fs::rename(&tmp, &final_path));
-        }
-    }
-
-    /// Inserts into the index and evicts down to the configured bounds,
-    /// oldest insertion first. A single entry larger than `max_bytes`
-    /// can evict everything including itself — correct (the bound
-    /// holds), just wasteful, and only reachable with a tiny bound.
-    fn insert_locked(&self, state: &mut CacheState, key: u64, payload: String) {
+        let mut state = self.state.lock().expect("cache index");
         let len = payload.len() as u64;
-        match state.map.insert(key, payload) {
+        match state.map.insert(key, payload.to_string()) {
             None => {
                 state.order.push_back(key);
                 state.bytes += len;
@@ -218,9 +155,6 @@ impl ResultCache {
             if let Some(evicted) = state.map.remove(&oldest) {
                 state.bytes -= evicted.len() as u64;
                 state.evictions += 1;
-                if let Some(dir) = &self.dir {
-                    let _ = std::fs::remove_file(dir.join(format!("{}.json", format_hex(oldest))));
-                }
             }
         }
     }
@@ -248,45 +182,6 @@ impl ResultCache {
     pub fn evictions(&self) -> u64 {
         self.state.lock().expect("cache index").evictions
     }
-
-    /// Flushes the index to disk. Writes are already write-through, so
-    /// this re-persists any entry whose earlier disk write failed (it
-    /// was downgraded to memory-only) and is otherwise a no-op; called
-    /// on graceful shutdown.
-    pub fn flush(&self) {
-        let Some(dir) = &self.dir else { return };
-        let state = self.state.lock().expect("cache index");
-        for (&key, payload) in state.map.iter() {
-            let final_path = dir.join(format!("{}.json", format_hex(key)));
-            if final_path.exists() {
-                continue;
-            }
-            let tmp = dir.join(format!(".{}.tmp", format_hex(key)));
-            let _ = std::fs::write(&tmp, payload).and_then(|()| std::fs::rename(&tmp, &final_path));
-        }
-    }
-
-    /// A one-line summary for logs.
-    #[must_use]
-    pub fn describe(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "{} entries", self.len());
-        match &self.dir {
-            Some(dir) => {
-                let _ = write!(out, " in {}", dir.display());
-            }
-            None => out.push_str(" (memory only)"),
-        }
-        out
-    }
-}
-
-/// Parses `<0x-key>.json` file names back to keys; `None` for anything
-/// else (temp files, strays).
-fn entry_key(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    let hex = name.strip_suffix(".json")?;
-    crate::proto::parse_hex(hex)
 }
 
 #[cfg(test)]
@@ -362,18 +257,17 @@ mod tests {
 
     #[test]
     fn memory_cache_round_trips() {
-        let cache = ResultCache::open(None).unwrap();
+        let cache = ResultCache::new(None, None);
         assert!(cache.is_empty());
         assert_eq!(cache.get(42), None);
         cache.put(42, "{\"ipc\":1.5}");
         assert_eq!(cache.get(42).as_deref(), Some("{\"ipc\":1.5}"));
         assert_eq!(cache.len(), 1);
-        assert!(cache.describe().contains("memory only"));
     }
 
     #[test]
     fn entry_bound_evicts_in_insertion_order() {
-        let cache = ResultCache::open_bounded(None, Some(2), None).unwrap();
+        let cache = ResultCache::new(Some(2), None);
         cache.put(1, "one");
         cache.put(2, "two");
         cache.put(3, "three");
@@ -388,52 +282,15 @@ mod tests {
     }
 
     #[test]
-    fn byte_bound_evicts_until_under_and_prunes_disk() {
-        let dir = std::env::temp_dir().join(format!("hpa-cache-evict-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = ResultCache::open_bounded(Some(dir.clone()), None, Some(10)).unwrap();
+    fn byte_bound_evicts_until_under() {
+        let cache = ResultCache::new(None, Some(10));
         cache.put(1, "aaaa"); // 4 bytes
         cache.put(2, "bbbb"); // 8 bytes
         assert_eq!(cache.evictions(), 0);
         cache.put(3, "cccc"); // 12 bytes -> evict key 1
         assert_eq!(cache.evictions(), 1);
         assert_eq!(cache.bytes(), 8);
-        assert!(
-            !dir.join(format!("{}.json", format_hex(1))).exists(),
-            "eviction prunes the disk store"
-        );
-        assert!(dir.join(format!("{}.json", format_hex(2))).exists());
-        // A reload of the pruned store honors the bound too.
-        drop(cache);
-        let cache = ResultCache::open_bounded(Some(dir.clone()), Some(1), None).unwrap();
-        assert_eq!(cache.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_cache_persists_and_reloads() {
-        let dir = std::env::temp_dir().join(format!("hpa-cache-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let cache = ResultCache::open(Some(dir.clone())).unwrap();
-            cache.put(0xabc, "{\"cycles\":100}");
-            cache.put(0xdef, "{\"cycles\":200}");
-            cache.flush();
-        }
-        // A fresh cache over the same directory sees both entries; a
-        // stray non-entry file is ignored.
-        std::fs::write(dir.join("not-an-entry.txt"), "junk").unwrap();
-        let cache = ResultCache::open(Some(dir.clone())).unwrap();
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.get(0xabc).as_deref(), Some("{\"cycles\":100}"));
-        assert_eq!(cache.get(0xdef).as_deref(), Some("{\"cycles\":200}"));
-        // No temp files were left behind by the atomic writes.
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter_map(Result::ok)
-            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
-            .collect();
-        assert!(leftovers.is_empty(), "{leftovers:?}");
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(cache.get(1), None);
+        assert!(cache.get(2).is_some() && cache.get(3).is_some());
     }
 }

@@ -13,8 +13,7 @@
 //!   and graceful drain-on-shutdown;
 //! * [`cache`] — the content-addressed result cache: an FNV-1a digest
 //!   of a canonical byte encoding of the simulation inputs keys an
-//!   on-disk store (one atomically renamed file per entry) fronted by
-//!   an in-memory index, so resubmitting a job answers from the cache
+//!   in-memory index, so resubmitting a job answers from the cache
 //!   without simulating — bit-identical by construction, because the
 //!   cached value *is* the original rendered payload;
 //! * [`proto`] — the typed wire protocol, shared with the `hpa-sdk`
@@ -22,11 +21,10 @@
 //! * [`queue`] — the Mutex + Condvar job FIFO with drain semantics and
 //!   a bounded-admission push;
 //! * [`http`] — the minimal HTTP/1.1 subset both sides speak;
-//! * [`journal`] — the write-ahead job journal: checksum-framed JSONL
-//!   replayed on startup so a `kill -9` loses no accepted job, torture-
-//!   tested against truncation and bit flips;
-//! * [`chaos`] — a seeded fault-injecting TCP proxy (drop / delay /
-//!   truncate / corrupt) for deterministic network-failure testing.
+//! * [`journal`] — the write-ahead job journal, the daemon's only
+//!   durable store: checksum-framed JSONL replayed on startup so a
+//!   `kill -9` loses no accepted job and finished results refill the
+//!   cache, torture-tested against truncation and bit flips.
 //!
 //! Wire protocol, job state machine, cache-key encoding and the
 //! durability/degradation rules are documented in `DESIGN.md` §12.
@@ -49,7 +47,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod chaos;
 pub mod http;
 pub mod journal;
 pub mod proto;
@@ -57,7 +54,6 @@ pub mod queue;
 pub mod server;
 
 pub use cache::{cell_key, ResultCache};
-pub use chaos::ChaosProxy;
 pub use journal::{Journal, Record, Replay, ReplayedJob};
 pub use proto::{
     CellResult, JobProgram, JobRequest, JobStatus, ResultResponse, StatusResponse, SubmitResponse,

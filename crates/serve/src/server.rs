@@ -11,8 +11,10 @@
 //! one job, never the daemon, and a cycle-budget watchdog turns hangs
 //! into structured deadlock faults. `POST /shutdown` drains: submissions
 //! start bouncing with 503, the backlog still runs to completion (or to
-//! its deadlines), workers exit, the cache index is flushed, and
-//! [`Server::run`] returns.
+//! its deadlines), workers exit, and [`Server::run`] returns. The
+//! write-ahead journal is the only durable store: replaying it on
+//! startup restores the job table and refills the in-memory result
+//! cache.
 
 use crate::cache::{cell_key, ResultCache};
 use crate::http::{self, Request, Response};
@@ -24,12 +26,12 @@ use crate::proto::{
 use crate::queue::JobQueue;
 use hpa_asm::Program;
 use hpa_core::pool::parallel_map_isolated;
-use hpa_core::Scheme;
+use hpa_core::{run, Observe, RunMode, RunSpec, Scheme};
 use hpa_obs::digest::debug_digest;
 use hpa_obs::json::escape_into;
 use hpa_obs::ServeCounters;
-use hpa_sim::{SampledEstimate, SampledRunner, SimConfig, SimStats, Simulator};
-use hpa_workloads::{workload, CHECKSUM_REG};
+use hpa_sim::{SampledEstimate, SimConfig, SimStats};
+use hpa_workloads::workload;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io::{self, BufReader};
@@ -47,8 +49,6 @@ pub struct ServerConfig {
     pub addr: String,
     /// Simulation worker threads.
     pub workers: usize,
-    /// On-disk cache directory; `None` keeps the cache memory-only.
-    pub cache_dir: Option<PathBuf>,
     /// Write-ahead journal directory; `None` disables durability.
     pub journal_dir: Option<PathBuf>,
     /// Admission-control bound on queued jobs; `None` is unbounded.
@@ -64,7 +64,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:8080".to_string(),
             workers: hpa_core::default_jobs().min(4),
-            cache_dir: None,
             journal_dir: None,
             max_queue: None,
             cache_max_entries: None,
@@ -141,23 +140,19 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, opens the cache, and — with a journal
+    /// Binds the listener, creates the cache, and — with a journal
     /// configured — replays it: terminal jobs rehydrate the job table and
     /// the result cache, incomplete jobs re-enqueue in original submit
     /// order (their deadline clocks restart at recovery time).
     ///
     /// # Errors
     ///
-    /// Socket bind or cache/journal-directory creation failures. Corrupt
+    /// Socket bind or journal-directory creation failures. Corrupt
     /// journal *content* is never an error — damaged records are skipped
     /// and counted in `journal_records_skipped`.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let cache = ResultCache::open_bounded(
-            config.cache_dir,
-            config.cache_max_entries,
-            config.cache_max_bytes,
-        )?;
+        let cache = ResultCache::new(config.cache_max_entries, config.cache_max_bytes);
         let workers = config.workers.max(1);
         let mut server = Server {
             listener,
@@ -267,7 +262,7 @@ impl Server {
     /// Serves until `POST /shutdown`: accept loop on this thread,
     /// simulation on the worker pool. On shutdown the queued backlog
     /// still runs (jobs whose deadlines pass while queued expire
-    /// instead), then the cache index is flushed and the call returns.
+    /// instead), then the call returns.
     ///
     /// # Errors
     ///
@@ -294,9 +289,7 @@ impl Server {
             }
             state.queue.drain();
             Ok(())
-        })?;
-        self.state.cache.flush();
-        Ok(())
+        })
     }
 }
 
@@ -759,41 +752,24 @@ fn run_cell(
     config: &SimConfig,
     key: u64,
 ) -> Result<String, String> {
-    match request.sampled {
-        None => {
-            let mut sim = Simulator::new(&resolved.program, config.clone());
-            sim.set_cycle_budget(request.cycle_budget);
-            sim.try_run().map_err(|fault| fault.to_string())?;
-            verify_checksum(resolved, sim.emulator().reg(CHECKSUM_REG))?;
-            Ok(render_payload(request, scheme, key, sim.stats(), None))
-        }
-        Some(units) => {
-            // The cycle-budget watchdog does not reach inside the sampled
-            // runner's windows; its own deadlock detector bounds them.
-            let runner = SampledRunner::new(config.clone(), units).with_seed(request.seed);
-            let outcome = runner.run(&resolved.program).map_err(|fault| fault.to_string())?;
-            verify_checksum(resolved, outcome.emulator.reg(CHECKSUM_REG))?;
-            let estimate = outcome.estimate;
-            // Mirror `run_workload_sampled`: stats carry the summed
-            // measured-window counters, so the digest is comparable with
-            // a direct `hpa bench --sampled` run.
-            let stats = SimStats {
-                committed: estimate.samples.iter().map(|s| s.committed).sum(),
-                cycles: estimate.samples.iter().map(|s| s.cycles).sum(),
-                ..SimStats::default()
-            };
-            Ok(render_payload(request, scheme, key, &stats, Some(&estimate)))
-        }
-    }
-}
-
-fn verify_checksum(resolved: &ResolvedProgram, actual: u64) -> Result<(), String> {
-    match resolved.checksum {
-        Some(expected) if actual != expected => {
-            Err(format!("checksum mismatch: got {actual:#x}, expected {expected:#x}"))
-        }
-        _ => Ok(()),
-    }
+    let label = match &request.program {
+        JobProgram::Workload { name, .. } => name.as_str(),
+        JobProgram::Source(_) => "source",
+        JobProgram::Binary(_) => "binary",
+    };
+    let mode = match request.sampled {
+        None => RunMode::Full(Observe::default()),
+        Some(units) => RunMode::Sampled { units, seed: request.seed },
+    };
+    let spec = RunSpec {
+        checksum: resolved.checksum,
+        config: config.clone(),
+        cycle_budget: request.cycle_budget,
+        mode,
+        ..RunSpec::program(label, &resolved.program, scheme, request.width)
+    };
+    let r = run(&spec).map_err(|e| e.to_string())?;
+    Ok(render_payload(request, scheme, key, &r.stats, r.sampled.as_ref()))
 }
 
 /// Renders one cell's canonical payload — the unit of cache storage.
@@ -879,9 +855,9 @@ mod tests {
         let cell = CellResult::new(Scheme::Base, false, payload);
         assert_eq!(cell.cache_key(), Some(key));
         // The payload digest equals a from-scratch run's stats digest.
-        let mut sim = Simulator::new(&resolved.program, config);
-        sim.try_run().unwrap();
-        assert_eq!(cell.stats_digest(), Some(debug_digest(sim.stats())));
+        let direct =
+            run(&RunSpec::program("gcc", &resolved.program, Scheme::Base, request.width)).unwrap();
+        assert_eq!(cell.stats_digest(), Some(debug_digest(&direct.stats)));
         assert!(cell.ipc().unwrap() > 0.0);
     }
 

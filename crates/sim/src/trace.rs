@@ -59,7 +59,7 @@ impl fmt::Debug for TraceSink {
 }
 
 /// Stage timestamps of one committed instruction.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct TraceRecord {
     /// Global sequence number.
     pub seq: u64,
@@ -85,7 +85,7 @@ pub struct TraceRecord {
 }
 
 /// A bounded recording of committed instructions.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct PipeTrace {
     records: Vec<TraceRecord>,
     capacity: usize,

@@ -5,12 +5,14 @@
 //! cargo run --release --example characterize [bench]
 //! ```
 
-use half_price::workloads::Scale;
-use half_price::{run_workload, MachineWidth, RunError, Scheme};
+use half_price::workloads::{workload, Scale};
+use half_price::{run, MachineWidth, RunError, RunSpec, Scheme};
 
 fn main() -> Result<(), RunError> {
     let bench = std::env::args().nth(1).unwrap_or_else(|| "parser".to_string());
-    let r = run_workload(&bench, Scale::Default, MachineWidth::Four, Scheme::Base)?;
+    let w = workload(&bench, Scale::Default)
+        .ok_or(RunError::UnknownWorkload { name: bench.clone() })?;
+    let r = run(&RunSpec::workload(&w, Scheme::Base, MachineWidth::Four))?;
     let s = &r.stats;
     let f = &s.format;
     let total = f.total() as f64;

@@ -7,23 +7,22 @@
 
 use half_price::asm::parse_program;
 use half_price::emu::Emulator;
-use half_price::isa::Reg;
-use half_price::sim::Simulator;
-use half_price::{MachineWidth, Scheme};
+use half_price::workloads::CHECKSUM_REG;
+use half_price::{run, MachineWidth, RunSpec, Scheme};
 
 /// A dot-product kernel with a reduction tail — 2-source-heavy on purpose,
 /// so the half-price schemes have something to chew on.
 const SOURCE: &str = "
-    ; r1 = vector A, r2 = vector B, r3 = n, r4 = accumulator
+    ; r1 = vector A, r2 = vector B, r3 = n, r10 = accumulator
     li   r1, 65536
     li   r2, 131072
     li   r3, 512
-    li   r4, 0
+    li   r10, 0
 loop:
     ldq  r5, (r1)
     ldq  r6, (r2)
     mul  r5, r6, r7     ; two loads feed a multiply
-    add  r4, r7, r4     ; reduction (2-source)
+    add  r10, r7, r10   ; reduction (2-source)
     add  r1, #8, r1
     add  r2, #8, r2
     sub  r3, #1, r3
@@ -45,24 +44,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut emu = Emulator::new(&program);
     emu.run(1_000_000)?;
     let expected: u64 = a.iter().zip(&b).map(|(x, y)| x * y).sum();
-    assert_eq!(emu.reg(Reg::R4), expected, "dot product is correct");
+    assert_eq!(emu.reg(CHECKSUM_REG), expected, "dot product is correct");
     println!("functional result: A.B = {expected} ({} instructions)\n", emu.executed());
 
-    // Now time it under every scheme of the paper's evaluation.
+    // Now time it under every scheme of the paper's evaluation. The
+    // accumulator is the checksum register, so `run` checks that timing
+    // never changes the result.
     println!("{:24} {:>9} {:>7}  vs base", "scheme", "cycles", "IPC");
     let mut base_ipc = 0.0;
     for scheme in Scheme::ALL {
-        let mut sim = Simulator::new(&program, scheme.configure(MachineWidth::Four));
-        sim.run();
-        assert_eq!(sim.emulator().reg(Reg::R4), expected, "timing never changes results");
-        let ipc = sim.stats().ipc();
+        let dot = RunSpec::program("dot", &program, scheme, MachineWidth::Four);
+        let r = run(&RunSpec { checksum: Some(expected), ..dot })?;
+        let ipc = r.stats.ipc();
         if scheme == Scheme::Base {
             base_ipc = ipc;
         }
         println!(
             "{:24} {:>9} {:>7.3}  {:+.2}%",
             scheme.label(),
-            sim.stats().cycles,
+            r.stats.cycles,
             ipc,
             (ipc / base_ipc - 1.0) * 100.0
         );

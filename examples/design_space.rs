@@ -11,14 +11,13 @@
 //! ```
 
 use half_price::circuits::WakeupDelayModel;
-use half_price::sim::{SimConfig, Simulator, WakeupScheme};
-use half_price::workloads::{workload, Scale, CHECKSUM_REG};
+use half_price::sim::{SimConfig, WakeupScheme};
+use half_price::workloads::{workload, Scale, Workload};
+use half_price::{run, MachineWidth, RunSpec, Scheme};
 
-fn ipc_of(cfg: SimConfig, w: &half_price::workloads::Workload) -> f64 {
-    let mut sim = Simulator::new(&w.program, cfg);
-    sim.run();
-    assert_eq!(sim.emulator().reg(CHECKSUM_REG), w.expected_checksum);
-    sim.stats().ipc()
+fn ipc_of(config: SimConfig, w: &Workload) -> f64 {
+    let spec = RunSpec { config, ..RunSpec::workload(w, Scheme::Base, MachineWidth::Four) };
+    run(&spec).unwrap_or_else(|e| panic!("{e}")).stats.ipc()
 }
 
 fn main() {

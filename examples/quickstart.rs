@@ -5,15 +5,17 @@
 //! cargo run --release --example quickstart [bench]
 //! ```
 
-use half_price::workloads::Scale;
-use half_price::{run_workload, MachineWidth, RunError, Scheme};
+use half_price::workloads::{workload, Scale};
+use half_price::{run, MachineWidth, RunError, RunSpec, Scheme};
 
 fn main() -> Result<(), RunError> {
     let bench = std::env::args().nth(1).unwrap_or_else(|| "bzip".to_string());
 
     println!("simulating `{bench}` on the paper's 4-wide machine (Table 1)...\n");
-    let base = run_workload(&bench, Scale::Default, MachineWidth::Four, Scheme::Base)?;
-    let half = run_workload(&bench, Scale::Default, MachineWidth::Four, Scheme::Combined)?;
+    let w = workload(&bench, Scale::Default)
+        .ok_or(RunError::UnknownWorkload { name: bench.clone() })?;
+    let base = run(&RunSpec::workload(&w, Scheme::Base, MachineWidth::Four))?;
+    let half = run(&RunSpec::workload(&w, Scheme::Combined, MachineWidth::Four))?;
 
     let b = &base.stats;
     let h = &half.stats;

@@ -16,10 +16,10 @@ use half_price::obs::digest::debug_digest;
 use half_price::sdk::{Client, ClientError};
 use half_price::serve::proto::{JobProgram, JobRequest, JobStatus};
 use half_price::serve::server::{Server, ServerConfig};
-use half_price::sim::{SampleUnits, SampledEstimate, SampledRunner, SimStats, Simulator};
+use half_price::sim::{SampleUnits, SampledEstimate, SimStats};
 use half_price::verify;
-use half_price::workloads::{workload, Scale, WORKLOAD_NAMES};
-use half_price::{MachineWidth, Scheme};
+use half_price::workloads::{workload, Scale, Workload, WORKLOAD_NAMES};
+use half_price::{run, MachineWidth, Observe, RunError, RunMode, RunSpec, Scheme};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -100,8 +100,8 @@ const COMMANDS: &[Subcommand] = &[
     Subcommand {
         name: "serve",
         help: "simulation-as-a-service daemon (or --stop one)",
-        usage: "hpa serve [--addr HOST:PORT] [--jobs N] [--cache-dir DIR] [--journal-dir DIR] \
-                [--max-queue N] [--cache-max-entries N] [--cache-max-bytes N] [--stop]",
+        usage: "hpa serve [--addr HOST:PORT] [--jobs N] [--journal-dir DIR] [--max-queue N] \
+                [--cache-max-entries N] [--cache-max-bytes N] [--stop]",
         run: cmd_serve,
     },
     Subcommand {
@@ -221,6 +221,11 @@ fn parse_scheme(key: &str) -> Result<Scheme, CliError> {
     Scheme::from_key(key).ok_or_else(|| usage(format!("unknown scheme `{key}`; see `hpa list`")))
 }
 
+/// Parses `--scheme`, defaulting to the base machine.
+fn scheme_flag(args: &[String]) -> Result<Scheme, CliError> {
+    flag(args, "--scheme").map_or(Ok(Scheme::Base), |key| parse_scheme(&key))
+}
+
 fn flag(args: &[String], name: &str) -> Option<String> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
 }
@@ -235,12 +240,16 @@ fn bool_flag(args: &[String], name: &str) -> bool {
 }
 
 /// Parses the value of `--name` as an integer, with a usage error naming
-/// the flag on failure; `default` when the flag is absent.
+/// the flag on failure; `None` when the flag is absent.
+fn opt_num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, CliError> {
+    flag(args, name)
+        .map(|v| v.parse().map_err(|_| usage(format!("bad {name} `{v}` (want an integer)"))))
+        .transpose()
+}
+
+/// [`opt_num_flag`] with `default` when the flag is absent.
 fn num_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, CliError> {
-    match flag(args, name) {
-        None => Ok(default),
-        Some(v) => v.parse().map_err(|_| usage(format!("bad {name} `{v}` (want an integer)"))),
-    }
+    Ok(opt_num_flag(args, name)?.unwrap_or(default))
 }
 
 fn jobs_flag(args: &[String]) -> Result<usize, CliError> {
@@ -259,11 +268,16 @@ fn scale_flag(args: &[String]) -> Result<Scale, CliError> {
     }
 }
 
-fn load_program(args: &[String]) -> Result<half_price::asm::Program, CliError> {
-    let path = args
-        .iter()
+/// The first positional argument (not a flag, not a flag's value), or a
+/// usage error saying what is `missing`.
+fn positional<'a>(args: &'a [String], missing: &str) -> Result<&'a str, CliError> {
+    args.iter()
         .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(|| usage("missing program file argument"))?;
+        .map(String::as_str)
+        .ok_or_else(|| usage(missing))
+}
+
+fn load_program(path: &str) -> Result<half_price::asm::Program, CliError> {
     let bytes = std::fs::read(path).map_err(|e| other(format_args!("{path}: {e}")))?;
     // Real RISC-V binaries go through the hpa-rv frontend; anything else
     // is internal assembly text.
@@ -277,29 +291,40 @@ fn load_program(args: &[String]) -> Result<half_price::asm::Program, CliError> {
     parse_program(&source).map_err(|e| other(format_args!("{path}: {e}")))
 }
 
+/// The program file named by the first positional argument, and its path.
+fn program_arg(args: &[String]) -> Result<(&str, half_price::asm::Program), CliError> {
+    let path = positional(args, "missing program file argument")?;
+    Ok((path, load_program(path)?))
+}
+
+/// A built-in workload, or a usage error for an unknown name.
+fn builtin(name: &str, scale: Scale) -> Result<Workload, CliError> {
+    workload(name, scale).ok_or_else(|| usage(format!("unknown workload `{name}`; see `hpa list`")))
+}
+
+/// Maps a failed [`run`] onto the exit-code scheme: an unknown workload
+/// is a usage error, a simulation fault or checksum mismatch is a
+/// detected fault.
+fn run_failed(e: RunError) -> CliError {
+    match e {
+        RunError::UnknownWorkload { .. } => usage(e.to_string()),
+        e => CliError::Fault(e.to_string()),
+    }
+}
+
 fn cmd_asm(args: &[String]) -> CliResult {
-    let program = load_program(args)?;
+    let (_, program) = program_arg(args)?;
     print!("{program}");
     println!("; {} instructions, {} bytes encoded", program.len(), program.len() * 4);
     Ok(())
 }
 
 fn cmd_run(args: &[String]) -> CliResult {
-    let program = load_program(args)?;
+    let (path, program) = program_arg(args)?;
     // `--sampled W:D:F` switches from functional execution to the sampled
     // simulator — the quick way to get timing out of a real binary.
-    if let Some((units, seed)) = sampled_flag(args)? {
-        let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
-        let width = machine_width(args)?;
-        let runner = SampledRunner::new(scheme.configure(width), units).with_seed(seed);
-        let out = runner.run(&program).map_err(|e| CliError::Fault(e.to_string()))?;
-        println!(
-            "{} on the {} machine (sampled {units}, seed {seed}):",
-            scheme.label(),
-            width.label()
-        );
-        print_sampled(&out.estimate);
-        return Ok(());
+    if let Some(sampled) = sampled_flag(args)? {
+        return sim_sampled(args, path, &program, sampled);
     }
     let budget: u64 = num_flag(args, "--insts", 100_000_000)?;
     let mut emu = Emulator::new(&program);
@@ -375,51 +400,61 @@ fn print_sampled(est: &SampledEstimate) {
     );
 }
 
+/// `hpa run|sim <file> --sampled W:D:F`: a sampled run of a program file
+/// under `--scheme`/`--width`.
+fn sim_sampled(
+    args: &[String],
+    path: &str,
+    program: &half_price::asm::Program,
+    (units, seed): (SampleUnits, u64),
+) -> CliResult {
+    let scheme = scheme_flag(args)?;
+    let width = machine_width(args)?;
+    let spec = RunSpec {
+        mode: RunMode::Sampled { units, seed },
+        ..RunSpec::program(path, program, scheme, width)
+    };
+    let r = run(&spec).map_err(run_failed)?;
+    println!("{} on the {} machine (sampled {units}, seed {seed}):", scheme.label(), width.label());
+    print_sampled(r.sampled.as_ref().expect("sampled run records an estimate"));
+    Ok(())
+}
+
 fn cmd_sim(args: &[String]) -> CliResult {
-    let program = load_program(args)?;
-    let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
+    let (path, program) = program_arg(args)?;
+    let scheme = scheme_flag(args)?;
     let width = machine_width(args)?;
     let want_cpi = bool_flag(args, "--cpi-stack");
     let want_counters = bool_flag(args, "--counters");
-    if let Some((units, seed)) = sampled_flag(args)? {
+    let trace: usize = num_flag(args, "--trace", 0)?;
+    if let Some(sampled) = sampled_flag(args)? {
         if want_cpi || want_counters || bool_flag(args, "--json") {
             return Err(usage("--sampled is incompatible with --json/--cpi-stack/--counters"));
         }
-        if num_flag::<usize>(args, "--trace", 0)? > 0 {
+        if trace > 0 {
             return Err(usage("--sampled is incompatible with --trace"));
         }
-        let runner = SampledRunner::new(scheme.configure(width), units).with_seed(seed);
-        let out = runner.run(&program).map_err(|e| CliError::Fault(e.to_string()))?;
-        println!(
-            "{} on the {} machine (sampled {units}, seed {seed}):",
-            scheme.label(),
-            width.label()
-        );
-        print_sampled(&out.estimate);
-        return Ok(());
+        return sim_sampled(args, path, &program, sampled);
     }
-    let mut sim = Simulator::new(&program, scheme.configure(width));
-    let trace: usize = num_flag(args, "--trace", 0)?;
-    if trace > 0 {
-        sim.enable_trace(trace);
-    }
-    if want_cpi || want_counters {
-        sim.enable_counters();
-    }
-    sim.run();
+    let observe = Observe { counters: want_cpi || want_counters, trace, ..Observe::default() };
+    let spec =
+        RunSpec { mode: RunMode::Full(observe), ..RunSpec::program(path, &program, scheme, width) };
+    let r = run(&spec).map_err(run_failed)?;
     if bool_flag(args, "--json") {
-        println!("{}", sim.stats().to_json());
+        println!("{}", r.stats.to_json());
         return Ok(());
     }
     println!("{} on the {} machine:", scheme.label(), width.label());
-    print_stats(sim.stats());
-    if want_cpi {
-        println!("\n{}", render_cpi_stack(sim.counters(), sim.stats()));
+    print_stats(&r.stats);
+    if let Some(c) = &r.counters {
+        if want_cpi {
+            println!("\n{}", render_cpi_stack(c, &r.stats));
+        }
+        if want_counters {
+            println!("\n{c}");
+        }
     }
-    if want_counters {
-        println!("\n{}", sim.counters());
-    }
-    if let Some(t) = sim.pipetrace() {
+    if let Some(t) = &r.pipetrace {
         println!("\npipeline diagram (first {trace} committed instructions):");
         print!("{}", t.render());
     }
@@ -459,32 +494,27 @@ fn render_cpi_stack(c: &half_price::Counters, stats: &SimStats) -> String {
 /// Cycle-accounting report for a program file or built-in benchmark:
 /// CPI stack plus the counter registry, human-readable or `--json`.
 fn cmd_counters(args: &[String]) -> CliResult {
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(|| usage("missing program file or benchmark name; see `hpa list`"))?;
-    let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
+    let target = positional(args, "missing program file or benchmark name; see `hpa list`")?;
+    let scheme = scheme_flag(args)?;
     let width = machine_width(args)?;
-
-    let (counters, stats) = if std::path::Path::new(target).is_file() {
-        let program = load_program(args)?;
-        let mut sim = Simulator::new(&program, scheme.configure(width));
-        sim.enable_counters();
-        sim.run();
-        (sim.counters().clone(), sim.stats().clone())
+    let mode = RunMode::Full(Observe { counters: true, ..Observe::default() });
+    let r = if std::path::Path::new(target).is_file() {
+        let program = load_program(target)?;
+        run(&RunSpec { mode, ..RunSpec::program(target, &program, scheme, width) })
     } else {
-        let scale = scale_flag(args)?;
-        let r = half_price::run_workload_observed(target, scale, width, scheme, true)
-            .map_err(|e| usage(format!("`{target}` is neither a file nor a benchmark: {e}")))?;
-        (r.counters.expect("observed run records counters"), r.stats)
-    };
-
+        let w = workload(target, scale_flag(args)?).ok_or_else(|| {
+            usage(format!("`{target}` is neither a file nor a benchmark; see `hpa list`"))
+        })?;
+        run(&RunSpec { mode, ..RunSpec::workload(&w, scheme, width) })
+    }
+    .map_err(run_failed)?;
+    let counters = r.counters.expect("observed run records counters");
     if bool_flag(args, "--json") {
         println!("{}", counters.to_json());
         return Ok(());
     }
     println!("`{target}` under {} on the {} machine:", scheme.label(), width.label());
-    println!("{}", render_cpi_stack(&counters, &stats));
+    println!("{}", render_cpi_stack(&counters, &r.stats));
     println!("\n{counters}");
     Ok(())
 }
@@ -493,70 +523,69 @@ fn cmd_counters(args: &[String]) -> CliResult {
 /// select -> exec -> commit) as Chrome trace-event JSON; open the file at
 /// `chrome://tracing` or <https://ui.perfetto.dev>.
 fn cmd_trace_viz(args: &[String]) -> CliResult {
-    let program = load_program(args)?;
-    let scheme = parse_scheme(&flag(args, "--scheme").unwrap_or_else(|| "base".into()))?;
+    let (path, program) = program_arg(args)?;
+    let scheme = scheme_flag(args)?;
     let width = machine_width(args)?;
     let insts: usize = num_flag(args, "--insts", 4096)?;
     if insts == 0 {
         return Err(usage("bad --insts `0` (want an integer >= 1)"));
     }
     let out = flag(args, "--out").unwrap_or_else(|| "trace.json".into());
-    let config = scheme.configure(width);
-    let frontend_depth = config.frontend_depth;
-    let mut sim = Simulator::new(&program, config);
-    sim.enable_trace(insts);
-    sim.run();
-    let trace = sim.pipetrace().expect("trace was enabled");
-    let spans = trace.chrome_spans(frontend_depth);
+    let spec = RunSpec {
+        mode: RunMode::Full(Observe { trace: insts, ..Observe::default() }),
+        ..RunSpec::program(path, &program, scheme, width)
+    };
+    let r = run(&spec).map_err(run_failed)?;
+    let spans = r.pipetrace.expect("trace was enabled").chrome_spans(spec.config.frontend_depth);
     std::fs::write(&out, half_price::obs::chrome::render(&spans))
         .map_err(|e| other(format_args!("writing {out}: {e}")))?;
     println!(
         "wrote {} span(s) to {out} ({} committed, {} cycles under {})",
         spans.len(),
-        sim.stats().committed,
-        sim.stats().cycles,
+        r.stats.committed,
+        r.stats.cycles,
         scheme.label()
     );
     Ok(())
 }
 
 fn cmd_bench(args: &[String]) -> CliResult {
-    let name = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(|| usage("missing benchmark name; see `hpa list`"))?;
+    let name = positional(args, "missing benchmark name; see `hpa list`")?;
     let scale = scale_flag(args)?;
     let width = machine_width(args)?;
     let jobs = jobs_flag(args)?;
     let scheme_key = flag(args, "--scheme").unwrap_or_else(|| "base".into());
-    let names: Vec<&str> =
-        if name == "all" { WORKLOAD_NAMES.to_vec() } else { vec![name.as_str()] };
+    let names: Vec<&str> = if name == "all" { WORKLOAD_NAMES.to_vec() } else { vec![name] };
     if let Some((units, seed)) = sampled_flag(args)? {
         if scheme_key == "all" {
             return Err(usage("--sampled runs one scheme at a time; pick --scheme S"));
         }
         let scheme = parse_scheme(&scheme_key)?;
         for bench in &names {
-            let r = half_price::run_workload_sampled(bench, scale, width, scheme, units, seed)
-                .map_err(other)?;
-            let est = r.sampled.expect("sampled run records an estimate");
+            let w = builtin(bench, scale)?;
+            let spec = RunSpec {
+                mode: RunMode::Sampled { units, seed },
+                ..RunSpec::workload(&w, scheme, width)
+            };
+            let r = run(&spec).map_err(run_failed)?;
             println!(
                 "`{bench}` under {} on the {} machine (sampled {units}, seed {seed}):",
                 scheme.label(),
                 width.label()
             );
-            print_sampled(&est);
+            print_sampled(r.sampled.as_ref().expect("sampled run records an estimate"));
         }
         return Ok(());
     }
     if scheme_key == "all" {
-        return bench_matrix(&names, scale, width, jobs);
+        return bench_matrix(&names, scale, width, &Scheme::ALL, jobs);
     }
     let scheme = parse_scheme(&scheme_key)?;
     if names.len() > 1 {
-        return bench_matrix_schemes(&names, scale, width, &[scheme], jobs);
+        return bench_matrix(&names, scale, width, &[scheme], jobs);
     }
-    let r = half_price::run_workload(name, scale, width, scheme).map_err(other)?;
+    let w = builtin(name, scale)?;
+    let r = run(&RunSpec::workload(&w, scheme, width)).map_err(run_failed)?;
     println!("`{name}` under {} on the {} machine:", scheme.label(), width.label());
     print_stats(&r.stats);
     Ok(())
@@ -566,10 +595,7 @@ fn cmd_bench(args: &[String]) -> CliResult {
 /// oracle. A single file runs either one scheme (`--scheme S`) or the full
 /// differential set; a directory replays every `.s` reproducer in it.
 fn cmd_verify(args: &[String]) -> CliResult {
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(|| usage("missing file or directory; usage: hpa verify <file.s|dir>"))?;
+    let target = positional(args, "missing file or directory; usage: hpa verify <file.s|dir>")?;
     let path = std::path::Path::new(target);
 
     if path.is_dir() {
@@ -594,7 +620,7 @@ fn cmd_verify(args: &[String]) -> CliResult {
     let case = if is_elf {
         verify::CorpusCase {
             path: path.to_path_buf(),
-            program: load_program(args)?,
+            program: load_program(target)?,
             scheme: None,
             width: MachineWidth::Four,
         }
@@ -725,12 +751,8 @@ fn is_flag_value(args: &[String], a: &String) -> bool {
         .is_some_and(|prev| prev.starts_with("--") && !BOOL_FLAGS.contains(&prev.as_str()))
 }
 
-/// Sweeps `names` × all schemes and prints an IPC table (base-normalized).
-fn bench_matrix(names: &[&str], scale: Scale, width: MachineWidth, jobs: usize) -> CliResult {
-    bench_matrix_schemes(names, scale, width, &Scheme::ALL, jobs)
-}
-
-fn bench_matrix_schemes(
+/// Sweeps `names` × `schemes` and prints an IPC table (base-normalized).
+fn bench_matrix(
     names: &[&str],
     scale: Scale,
     width: MachineWidth,
@@ -738,10 +760,10 @@ fn bench_matrix_schemes(
     jobs: usize,
 ) -> CliResult {
     let t0 = std::time::Instant::now();
-    let m = half_price::run_matrix_parallel(names, scale, width, schemes, jobs, |r| {
+    let m = half_price::run_matrix(names, scale, width, schemes, jobs, Observe::default(), |r| {
         eprintln!("  {} / {}: ipc {:.3}", r.workload, r.scheme.label(), r.stats.ipc());
     })
-    .map_err(other)?;
+    .map_err(run_failed)?;
     println!(
         "{} benchmark(s) x {} scheme(s) on the {} machine ({jobs} job(s), {:.1}s):",
         names.len(),
@@ -756,7 +778,7 @@ fn bench_matrix_schemes(
     }
     println!();
     for row in &m.rows {
-        print!("{:10}", row.first().map_or("-", |r| r.workload));
+        print!("{:10}", row.first().map_or("-", |r| r.workload.as_str()));
         for r in row {
             print!(" {:>col$.3}", r.stats.ipc());
         }
@@ -786,47 +808,25 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if workers == 0 {
         return Err(usage("bad --jobs `0` (want an integer >= 1)"));
     }
-    let cache_dir = flag(args, "--cache-dir").map(std::path::PathBuf::from);
-    let cache_desc =
-        cache_dir.as_ref().map_or_else(|| "memory only".to_string(), |d| d.display().to_string());
-    let journal_dir = flag(args, "--journal-dir").map(std::path::PathBuf::from);
-    let max_queue = match flag(args, "--max-queue") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .ok()
-                .filter(|&n| n > 0)
-                .ok_or_else(|| usage(format!("bad --max-queue `{v}` (want an integer >= 1)")))?,
-        ),
-    };
-    let cache_max_entries = match flag(args, "--cache-max-entries") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| usage(format!("bad --cache-max-entries `{v}` (want an integer)")))?,
-        ),
-    };
-    let cache_max_bytes = match flag(args, "--cache-max-bytes") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|_| usage(format!("bad --cache-max-bytes `{v}` (want an integer)")))?,
-        ),
-    };
+    let max_queue = opt_num_flag(args, "--max-queue")?;
+    if max_queue == Some(0) {
+        return Err(usage("bad --max-queue `0` (want an integer >= 1)"));
+    }
     let server = Server::bind(ServerConfig {
         addr,
         workers,
-        cache_dir,
-        journal_dir,
+        journal_dir: flag(args, "--journal-dir").map(std::path::PathBuf::from),
         max_queue,
-        cache_max_entries,
-        cache_max_bytes,
+        cache_max_entries: opt_num_flag(args, "--cache-max-entries")?,
+        cache_max_bytes: opt_num_flag(args, "--cache-max-bytes")?,
     })
     .map_err(other)?;
     let local = server.local_addr().map_err(other)?;
     // The `listening on` line is the contract `tools/check.sh` parses to
-    // discover the bound port; keep it first and stable.
-    println!("hpa serve listening on {local} ({workers} worker(s), cache: {cache_desc})");
+    // discover the bound port; keep it first and stable. The result cache
+    // is an in-memory index; a journal, when configured, is the only
+    // durable store and refills it on restart.
+    println!("hpa serve listening on {local} ({workers} worker(s), cache: memory only)");
     if let Some(summary) = server.replay_summary() {
         println!("{summary}");
     }
@@ -844,10 +844,7 @@ fn client_err(e: ClientError) -> CliError {
 
 /// Submits one job to a running daemon and waits for its results.
 fn cmd_submit(args: &[String]) -> CliResult {
-    let target = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(|| usage("missing benchmark name or program file; see `hpa list`"))?;
+    let target = positional(args, "missing benchmark name or program file; see `hpa list`")?;
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());
     let scheme_key = flag(args, "--scheme").unwrap_or_else(|| "base".into());
     let schemes =
@@ -872,7 +869,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
             JobProgram::Source(source)
         }
     } else {
-        JobProgram::Workload { name: target.clone(), scale }
+        JobProgram::Workload { name: target.to_string(), scale }
     };
     let sampled = match flag(args, "--sampled") {
         None => None,
@@ -884,13 +881,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
         schemes,
         seed: num_flag(args, "--seed", 0)?,
         sampled,
-        deadline_ms: match flag(args, "--deadline-ms") {
-            None => None,
-            Some(v) => Some(
-                v.parse()
-                    .map_err(|_| usage(format!("bad --deadline-ms `{v}` (want an integer)")))?,
-            ),
-        },
+        deadline_ms: opt_num_flag(args, "--deadline-ms")?,
         cycle_budget: num_flag(
             args,
             "--cycle-budget",
@@ -924,10 +915,7 @@ fn cmd_submit(args: &[String]) -> CliResult {
 /// Fetches one job's results from a running daemon, waiting for a
 /// terminal state first.
 fn cmd_job(args: &[String]) -> CliResult {
-    let id: u64 = args
-        .iter()
-        .find(|a| !a.starts_with("--") && !is_flag_value(args, a))
-        .ok_or_else(|| usage("missing job id; see `hpa submit`"))?
+    let id: u64 = positional(args, "missing job id; see `hpa submit`")?
         .parse()
         .map_err(|_| usage("bad job id (want an integer)"))?;
     let addr = flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:8080".into());

@@ -7,11 +7,12 @@
 //! results.
 //!
 //! ```
-//! use half_price::{run_workload, MachineWidth, Scheme};
-//! use half_price::workloads::Scale;
+//! use half_price::{run, MachineWidth, RunSpec, Scheme};
+//! use half_price::workloads::{workload, Scale};
 //!
 //! # fn main() -> Result<(), half_price::RunError> {
-//! let r = run_workload("bzip", Scale::Tiny, MachineWidth::Four, Scheme::Combined)?;
+//! let bzip = workload("bzip", Scale::Tiny).expect("built-in");
+//! let r = run(&RunSpec::workload(&bzip, Scheme::Combined, MachineWidth::Four))?;
 //! println!("bzip under the half-price architecture: {:.2} IPC", r.stats.ipc());
 //! # Ok(())
 //! # }

@@ -4,11 +4,19 @@
 //! but they pin the *orderings* the paper's conclusions rest on.
 
 use half_price::workloads::{Scale, WORKLOAD_NAMES};
-use half_price::{run_matrix, MachineWidth, MatrixResult, Scheme};
+use half_price::{run_matrix, MachineWidth, MatrixResult, Observe, Scheme};
 
 fn matrix(schemes: &[Scheme]) -> MatrixResult {
-    run_matrix(&WORKLOAD_NAMES, Scale::Tiny, MachineWidth::Four, schemes, |_| {})
-        .expect("matrix runs")
+    run_matrix(
+        &WORKLOAD_NAMES,
+        Scale::Tiny,
+        MachineWidth::Four,
+        schemes,
+        1,
+        Observe::default(),
+        |_| {},
+    )
+    .expect("matrix runs")
 }
 
 #[test]

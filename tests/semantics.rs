@@ -3,17 +3,25 @@
 //! Every workload runs under every scheme and must produce the reference
 //! checksum and the same committed-instruction count.
 
-use half_price::workloads::{Scale, WORKLOAD_NAMES};
-use half_price::{run_workload, MachineWidth, Scheme};
+use half_price::sim::SimConfig;
+use half_price::workloads::{workload, Scale, WORKLOAD_NAMES};
+use half_price::{run, MachineWidth, RunResult, RunSpec, Scheme};
+
+/// Runs a built-in tiny workload; `run` returns Err on a checksum
+/// mismatch, which fails the test naming the cell.
+fn run_tiny(name: &str, scheme: Scheme, width: MachineWidth, config: SimConfig) -> RunResult {
+    let w = workload(name, Scale::Tiny).expect("built-in workload");
+    run(&RunSpec { config, ..RunSpec::workload(&w, scheme, width) })
+        .unwrap_or_else(|e| panic!("{name}/{scheme:?}: {e}"))
+}
 
 #[test]
 fn every_scheme_preserves_semantics_on_every_workload() {
     for name in WORKLOAD_NAMES {
         let mut committed = None;
         for scheme in Scheme::ALL {
-            // run_workload returns Err on a checksum mismatch.
-            let r = run_workload(name, Scale::Tiny, MachineWidth::Four, scheme)
-                .unwrap_or_else(|e| panic!("{name}/{scheme:?}: {e}"));
+            let r =
+                run_tiny(name, scheme, MachineWidth::Four, scheme.configure(MachineWidth::Four));
             match committed {
                 None => committed = Some(r.stats.committed),
                 Some(c) => {
@@ -29,21 +37,17 @@ fn every_scheme_preserves_semantics_on_every_workload() {
 fn eight_wide_machine_preserves_semantics() {
     for name in WORKLOAD_NAMES {
         for scheme in [Scheme::Base, Scheme::Combined] {
-            run_workload(name, Scale::Tiny, MachineWidth::Eight, scheme)
-                .unwrap_or_else(|e| panic!("{name}/{scheme:?}: {e}"));
+            let _ =
+                run_tiny(name, scheme, MachineWidth::Eight, scheme.configure(MachineWidth::Eight));
         }
     }
 }
 
 #[test]
 fn selective_recovery_preserves_semantics() {
-    use half_price::sim::{RecoveryKind, Simulator};
-    use half_price::workloads::{workload, CHECKSUM_REG};
+    use half_price::sim::RecoveryKind;
     for name in ["mcf", "gap", "vpr"] {
-        let w = workload(name, Scale::Tiny).expect("known");
         let cfg = MachineWidth::Four.base_config().with_recovery(RecoveryKind::Selective);
-        let mut sim = Simulator::new(&w.program, cfg);
-        sim.run();
-        assert_eq!(sim.emulator().reg(CHECKSUM_REG), w.expected_checksum, "{name}");
+        let _ = run_tiny(name, Scheme::Base, MachineWidth::Four, cfg);
     }
 }

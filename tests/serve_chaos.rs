@@ -7,13 +7,15 @@
 //! client↔daemon wire (drop/delay/truncate/corrupt) to prove the SDK's
 //! retry loop and the daemon's connection handling never wedge.
 
+mod chaos;
+
+use chaos::ChaosProxy;
 use half_price::obs::digest::debug_digest;
 use half_price::sdk::Client;
 use half_price::serve::proto::{JobRequest, JobStatus};
 use half_price::serve::server::{Server, ServerConfig};
-use half_price::serve::ChaosProxy;
-use half_price::workloads::Scale;
-use half_price::{MachineWidth, Scheme};
+use half_price::workloads::{workload, Scale};
+use half_price::{run, MachineWidth, RunSpec, Scheme};
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -54,8 +56,8 @@ impl Daemon {
         Daemon { child, addr }
     }
 
-    /// `kill -9`: SIGKILL, no drain, no cache flush, no journal fsync
-    /// beyond what already happened.
+    /// `kill -9`: SIGKILL, no drain, no journal fsync beyond what already
+    /// happened.
     fn kill9(&mut self) {
         self.child.kill().expect("SIGKILL the daemon");
         let _ = self.child.wait();
@@ -72,20 +74,14 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn dir_flags(journal: &Path, cache: &Path) -> Vec<String> {
-    vec![
-        "--journal-dir".into(),
-        journal.display().to_string(),
-        "--cache-dir".into(),
-        cache.display().to_string(),
-    ]
+fn journal_flags(journal: &Path) -> Vec<String> {
+    vec!["--journal-dir".into(), journal.display().to_string()]
 }
 
 #[test]
 fn kill9_mid_job_restart_recovers_bit_identical_results() {
     let journal = tmp_dir("kill9-journal");
-    let cache = tmp_dir("kill9-cache");
-    let flags = dir_flags(&journal, &cache);
+    let flags = journal_flags(&journal);
     let flag_refs: Vec<&str> = flags.iter().map(String::as_str).collect();
 
     // Accept two jobs on a 1-worker daemon: one starts, one queues.
@@ -104,20 +100,22 @@ fn kill9_mid_job_restart_recovers_bit_identical_results() {
     // SIGKILL the daemon with one running and one queued.
     daemon.kill9();
 
-    // Restart against the same journal/cache. The replayed jobs must
-    // finish with digests bit-identical to direct in-process runs.
-    let daemon = Daemon::spawn(&flag_refs);
+    // Restart against the same journal. The replayed jobs must finish
+    // with digests bit-identical to direct in-process runs.
+    let mut daemon = Daemon::spawn(&flag_refs);
     let client = daemon.client();
+    let mut recovered = Vec::new();
     for (id, name, scheme) in [(gcc, "gcc", Scheme::Base), (mcf, "mcf", Scheme::Combined)] {
         let result = client.wait(id, WAIT).expect("recovered job result");
         assert_eq!(result.status, JobStatus::Done, "job {id} ({name}) after recovery");
-        let direct = half_price::run_workload(name, Scale::Tiny, MachineWidth::Four, scheme)
-            .expect("direct run");
+        let w = workload(name, Scale::Tiny).expect("built-in workload");
+        let direct = run(&RunSpec::workload(&w, scheme, MachineWidth::Four)).expect("direct run");
         assert_eq!(
             result.cells[0].stats_digest(),
             Some(debug_digest(&direct.stats)),
             "job {id} ({name}): recovered digest differs from a direct run"
         );
+        recovered.push(result);
     }
 
     // The replay is visible in /health: every journaled job either
@@ -129,16 +127,27 @@ fn kill9_mid_job_restart_recovers_bit_identical_results() {
     assert_eq!(counter("journal_jobs_requeued") + counter("journal_jobs_rehydrated"), 2);
     assert_eq!(counter("journal_records_skipped"), 0);
 
+    // The journal is the only durable store: a third start replays the
+    // finished jobs into the result cache, so resubmitting one is a hit
+    // with the byte-identical payload.
+    daemon.kill9();
+    let daemon = Daemon::spawn(&flag_refs);
+    let client = daemon.client();
+    let again = client
+        .submit(&JobRequest::workload("gcc", Scale::Tiny, Scheme::Base))
+        .expect("resubmit gcc");
+    assert!(again.cached, "a journal-recovered result must be served from the cache");
+    let again = client.result(again.job_id).expect("cached result");
+    assert_eq!(again.cells[0].payload_json(), recovered[0].cells[0].payload_json());
+
     client.shutdown().expect("graceful shutdown");
     let _ = std::fs::remove_dir_all(&journal);
-    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]
 fn corrupted_journal_is_skipped_with_a_counter_not_a_crash() {
     let journal = tmp_dir("corrupt-journal");
-    let cache = tmp_dir("corrupt-cache");
-    let flags = dir_flags(&journal, &cache);
+    let flags = journal_flags(&journal);
     let flag_refs: Vec<&str> = flags.iter().map(String::as_str).collect();
 
     // Run one job to completion so the journal holds a real record set.
@@ -181,7 +190,6 @@ fn corrupted_journal_is_skipped_with_a_counter_not_a_crash() {
 
     client.shutdown().expect("graceful shutdown");
     let _ = std::fs::remove_dir_all(&journal);
-    let _ = std::fs::remove_dir_all(&cache);
 }
 
 #[test]

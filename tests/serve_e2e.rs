@@ -7,8 +7,8 @@ use half_price::obs::digest::debug_digest;
 use half_price::sdk::{Client, ClientError};
 use half_price::serve::proto::{JobProgram, JobRequest, JobStatus};
 use half_price::serve::server::{Server, ServerConfig};
-use half_price::workloads::Scale;
-use half_price::{MachineWidth, Scheme};
+use half_price::workloads::{workload, Scale};
+use half_price::{run, MachineWidth, RunSpec, Scheme};
 use std::io;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -58,8 +58,9 @@ fn duplicate_job_is_served_from_cache_bit_identically() {
 
     // And the payload's digest is the digest of a direct in-process run —
     // the daemon adds transport, not noise.
-    let direct = half_price::run_workload("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Base)
-        .expect("direct run");
+    let gcc = workload("gcc", Scale::Tiny).expect("built-in workload");
+    let direct =
+        run(&RunSpec::workload(&gcc, Scheme::Base, MachineWidth::Four)).expect("direct run");
     assert_eq!(first.cells[0].stats_digest(), Some(debug_digest(&direct.stats)));
 
     client.shutdown().expect("shutdown");

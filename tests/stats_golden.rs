@@ -11,8 +11,9 @@
 
 use half_price::obs::digest::debug_digest as digest;
 use half_price::sim::SampleUnits;
+use half_price::workloads::workload;
 use half_price::workloads::Scale;
-use half_price::{run_workload, run_workload_observed, run_workload_sampled, MachineWidth, Scheme};
+use half_price::{run, MachineWidth, Observe, RunMode, RunResult, RunSpec, Scheme};
 
 const GOLDEN: [(&str, Scheme, u64); 24] = [
     ("gap", Scheme::Base, 0xb63cdac63665bc31),
@@ -87,14 +88,20 @@ const RISCV_GOLDEN: [(&str, Scheme, u64); 12] = [
 /// estimator moves this digest even when full-detail digests hold.
 const SAMPLED_GOLDEN: u64 = 0xe055df6842f1f446;
 
+/// Runs a built-in tiny workload on the 4-wide machine, checksum-verified.
+fn run_tiny(name: &str, scheme: Scheme, mode: RunMode) -> RunResult {
+    let w = workload(name, Scale::Tiny).expect("built-in workload");
+    run(&RunSpec { mode, ..RunSpec::workload(&w, scheme, MachineWidth::Four) })
+        .unwrap_or_else(|e| panic!("{e}"))
+}
+
 /// Every scheme's full statistics stay bit-identical to the pre-rewrite
 /// scheduler, for a compute-bound, a memory-bound and a branchy workload.
 #[test]
 fn stats_match_pre_rewrite_golden_digests() {
     let mut failures = Vec::new();
     for &(name, scheme, expected) in &GOLDEN {
-        let r = run_workload(name, Scale::Tiny, MachineWidth::Four, scheme)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let r = run_tiny(name, scheme, RunMode::Full(Observe::default()));
         let got = digest(&r.stats);
         if got != expected {
             failures.push(format!("{name}/{scheme:?}: {got:#018x} != {expected:#018x}"));
@@ -105,14 +112,13 @@ fn stats_match_pre_rewrite_golden_digests() {
 
 /// The translated real-binary workloads are as pinned as the hand-written
 /// kernels: every fixture × scheme cell must stay bit-identical (and
-/// `run_workload` itself verifies the architectural checksum against the
+/// `run` itself verifies the architectural checksum against the
 /// host-side reference model on every run).
 #[test]
 fn riscv_stats_match_golden_digests() {
     let mut failures = Vec::new();
     for &(name, scheme, expected) in &RISCV_GOLDEN {
-        let r = run_workload(name, Scale::Tiny, MachineWidth::Four, scheme)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let r = run_tiny(name, scheme, RunMode::Full(Observe::default()));
         let got = digest(&r.stats);
         if got != expected {
             failures.push(format!("{name}/{scheme:?}: {got:#018x} != {expected:#018x}"));
@@ -128,8 +134,8 @@ fn riscv_stats_match_golden_digests() {
 fn observed_runs_keep_stats_digests_and_pin_counter_digests() {
     let mut failures = Vec::new();
     for &(name, scheme, expected) in &COUNTER_GOLDEN {
-        let r = run_workload_observed(name, Scale::Tiny, MachineWidth::Four, scheme, true)
-            .unwrap_or_else(|e| panic!("{e}"));
+        let r =
+            run_tiny(name, scheme, RunMode::Full(Observe { counters: true, ..Observe::default() }));
         let stats_expected = GOLDEN
             .iter()
             .find(|&&(n, s, _)| n == name && s == scheme)
@@ -156,8 +162,7 @@ fn observed_runs_keep_stats_digests_and_pin_counter_digests() {
 #[test]
 fn sampled_run_matches_golden_digest() {
     let units = SampleUnits::parse("500:2000:7500").expect("valid units");
-    let r = run_workload_sampled("gcc", Scale::Tiny, MachineWidth::Four, Scheme::Base, units, 42)
-        .unwrap_or_else(|e| panic!("{e}"));
+    let r = run_tiny("gcc", Scheme::Base, RunMode::Sampled { units, seed: 42 });
     let est = r.sampled.expect("sampled run records an estimate");
     let got = digest(&est);
     assert_eq!(

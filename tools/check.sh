@@ -106,9 +106,7 @@ echo "== serve smoke =="
 # in-process run prints, and (c) `serve --stop` drains the daemon to a
 # clean exit 0.
 serve_log="$(mktemp /tmp/hpa-serve-smoke.XXXXXX.log)"
-serve_cache="$(mktemp -d /tmp/hpa-serve-smoke-cache.XXXXXX)"
-cargo run --release -q --bin hpa -- serve --addr 127.0.0.1:0 --cache-dir "$serve_cache" \
-  > "$serve_log" 2>&1 &
+cargo run --release -q --bin hpa -- serve --addr 127.0.0.1:0 > "$serve_log" 2>&1 &
 serve_pid=$!
 for _ in $(seq 1 100); do
   grep -q 'listening on' "$serve_log" 2>/dev/null && break
@@ -164,7 +162,6 @@ if [ -z "$bin_first_digest" ] || [ "$bin_first_digest" != "$rv_elf_digest" ] ||
 fi
 cargo run --release -q --bin hpa -- serve --stop --addr "$serve_addr"
 wait "$serve_pid"
-rm -rf "$serve_cache"
 echo "hpa serve: cache hit on resubmission, digest $direct_digest matches direct run, clean shutdown"
 echo "hpa serve: binary job cache hit on resubmission, digest $bin_first_digest matches direct ELF run"
 
@@ -175,11 +172,9 @@ echo "== serve crash-recovery gate =="
 # finish with the exact digest a direct in-process run prints. This is
 # the contract the write-ahead journal exists for.
 recover_log="$(mktemp /tmp/hpa-serve-recover.XXXXXX.log)"
-recover_cache="$(mktemp -d /tmp/hpa-serve-recover-cache.XXXXXX)"
 recover_journal="$(mktemp -d /tmp/hpa-serve-recover-journal.XXXXXX)"
 cargo run --release -q --bin hpa -- serve --addr 127.0.0.1:0 --jobs 1 \
-  --journal-dir "$recover_journal" --cache-dir "$recover_cache" \
-  > "$recover_log" 2>&1 &
+  --journal-dir "$recover_journal" > "$recover_log" 2>&1 &
 recover_pid=$!
 for _ in $(seq 1 100); do
   grep -q 'listening on' "$recover_log" 2>/dev/null && break
@@ -203,8 +198,7 @@ fi
 kill -9 "$recover_pid"
 wait "$recover_pid" 2>/dev/null || true
 cargo run --release -q --bin hpa -- serve --addr 127.0.0.1:0 --jobs 1 \
-  --journal-dir "$recover_journal" --cache-dir "$recover_cache" \
-  > "$recover_log" 2>&1 &
+  --journal-dir "$recover_journal" > "$recover_log" 2>&1 &
 recover_pid=$!
 for _ in $(seq 1 100); do
   grep -q 'listening on' "$recover_log" 2>/dev/null && break
@@ -224,7 +218,7 @@ if [ -z "$recovered_digest" ] || [ "$recovered_digest" != "$mcf_digest" ]; then
 fi
 cargo run --release -q --bin hpa -- serve --stop --addr "$recover_addr"
 wait "$recover_pid"
-rm -rf "$recover_cache" "$recover_journal"
+rm -rf "$recover_journal"
 echo "hpa serve: kill -9 mid-job, journal replay, digest $recovered_digest matches direct run"
 
 echo "== chaos smoke (fixed seeds) =="
